@@ -3,14 +3,14 @@
 The reproduction environment is offline and lacks the ``wheel`` package, so
 PEP-660 editable installs (which build a wheel) fail. This shim lets
 ``pip install -e .`` take the legacy ``setup.py develop`` path. All real
-metadata lives in pyproject.toml.
+metadata lives in pyproject.toml; the version comes from
+``repro.__version__``.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},

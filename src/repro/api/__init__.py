@@ -15,11 +15,8 @@ Everything routes through the shared workload registry
 fan-out, and counting policy the installed engine carries — the CLI, the
 experiment suite, and the cost-oracle server (:mod:`repro.serve`) are all
 thin layers over these calls and therefore answer every query
-identically, bit for bit.
-
-The old per-command call paths (``repro.experiments.common.measure_*``)
-still work as :class:`DeprecationWarning` shims; the implementations now
-live in :mod:`repro.api.measures`.
+identically, bit for bit. The measurement implementations live in
+:mod:`repro.api.measures`.
 """
 
 from __future__ import annotations

@@ -701,7 +701,7 @@ def cmd_check(args) -> int:
             print(f"  [FAIL] {v.render()}", file=sys.stderr)
         failures += len(violations)
     if run_lint:
-        say("source lint (rules AEM101-AEM109):")
+        say("source lint (rules AEM101-AEM106, AEM108-AEM109):")
         lint_violations = run_lint_checks(log=say)
         for lv in lint_violations:
             print(f"  [FAIL] {lv.render()}", file=sys.stderr)

@@ -5,8 +5,8 @@ The old API threaded a bare ``quick: bool`` through ``run_experiment`` /
 frozen :class:`ExperimentConfig` carrying everything execution-related —
 budget, sweep seed, parallelism, cache policy, extra observers — passed
 once and visible to every layer (runner, sweep helpers, engine, CLI,
-benchmarks). ``quick=`` keeps working through a deprecation shim in
-:func:`repro.experiments.common.run_experiment`.
+benchmarks). :meth:`ExperimentConfig.from_quick` maps a legacy boolean
+onto a config.
 """
 
 from __future__ import annotations

@@ -36,9 +36,6 @@ from .common import (
     ExperimentConfig,
     ExperimentResult,
     experiment_order,
-    measure_permute,
-    measure_sort,
-    measure_spmxv,
     natural_key,
     run_all,
     run_experiment,
@@ -49,9 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "experiment_order",
-    "measure_permute",
-    "measure_sort",
-    "measure_spmxv",
     "natural_key",
     "run_all",
     "run_experiment",

@@ -12,13 +12,10 @@ output.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..api import measures as _measures
 from ..engine import ExperimentConfig, active_engine, use_engine
-from ..machine.cost import CostRecord
 
 
 @dataclass
@@ -55,40 +52,6 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Measurement helpers — deprecation shims. The implementations moved to
-# repro.api.measures (the single routing table behind repro.api); these
-# wrappers keep old imports working while steering callers to the facade.
-# Experiments, the CLI, and the sanitizer battery all import the new
-# location, so a warning here always means third-party/legacy code.
-# ----------------------------------------------------------------------
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.experiments.common.{name} is deprecated; use "
-        f"repro.api.evaluate(...) or repro.api.measures.{name}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def measure_sort(*args, **kwargs) -> CostRecord:
-    """Deprecated alias for :func:`repro.api.measures.measure_sort`."""
-    _warn_deprecated("measure_sort")
-    return _measures.measure_sort(*args, **kwargs)
-
-
-def measure_permute(*args, **kwargs) -> CostRecord:
-    """Deprecated alias for :func:`repro.api.measures.measure_permute`."""
-    _warn_deprecated("measure_permute")
-    return _measures.measure_permute(*args, **kwargs)
-
-
-def measure_spmxv(*args, **kwargs) -> CostRecord:
-    """Deprecated alias for :func:`repro.api.measures.measure_spmxv`."""
-    _warn_deprecated("measure_spmxv")
-    return _measures.measure_spmxv(*args, **kwargs)
-
-
-# ----------------------------------------------------------------------
 # Registry (populated by repro.experiments.__init__).
 # ----------------------------------------------------------------------
 Runner = Callable[[ExperimentConfig], ExperimentResult]
@@ -118,22 +81,6 @@ def experiment_order() -> list[str]:
     return sorted(REGISTRY, key=natural_key)
 
 
-def _resolve_config(
-    config: Optional[ExperimentConfig], quick: Optional[bool]
-) -> ExperimentConfig:
-    """Coerce the (config, legacy quick) pair into one ExperimentConfig."""
-    if quick is not None:
-        if config is not None:
-            raise TypeError("pass either config= or the legacy quick=, not both")
-        warnings.warn(
-            "quick= is deprecated; pass ExperimentConfig(budget='quick'|'full')",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExperimentConfig.from_quick(quick)
-    return config if config is not None else ExperimentConfig()
-
-
 def _run_under_engine(runner: Runner, config: ExperimentConfig) -> ExperimentResult:
     if active_engine() is not None:
         # A caller (the CLI, run_all, a test) already installed an engine;
@@ -144,31 +91,23 @@ def _run_under_engine(runner: Runner, config: ExperimentConfig) -> ExperimentRes
 
 
 def run_experiment(
-    eid: str,
-    config: Optional[ExperimentConfig] = None,
-    *,
-    quick: Optional[bool] = None,
+    eid: str, config: Optional[ExperimentConfig] = None
 ) -> ExperimentResult:
     """Run one experiment by id (``"e1"``..``"e19"``, ``"a1"``..``"a3"``).
 
     ``config`` carries the execution policy (budget, jobs, cache, seed,
-    observers); the keyword ``quick=`` is a deprecated alias for
-    ``ExperimentConfig(budget=...)``.
+    observers).
     """
     key = eid.lower()
     if key not in REGISTRY:
         raise KeyError(f"unknown experiment {eid!r}; available: {sorted(REGISTRY)}")
-    cfg = _resolve_config(config, quick)
+    cfg = config if config is not None else ExperimentConfig()
     return _run_under_engine(REGISTRY[key], cfg)
 
 
-def run_all(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    quick: Optional[bool] = None,
-) -> list[ExperimentResult]:
+def run_all(config: Optional[ExperimentConfig] = None) -> list[ExperimentResult]:
     """Run every registered experiment, in natural id order."""
-    cfg = _resolve_config(config, quick)
+    cfg = config if config is not None else ExperimentConfig()
     ids = experiment_order()
     if active_engine() is not None:
         return [REGISTRY[k](cfg) for k in ids]

@@ -90,11 +90,10 @@ class AEMMachine:
         stash: ``write``/``load_input`` remember each block's *scheduling
         tokens* (``Atom.sort_token()`` for atoms, the value itself for
         pointer words and numbers), and ``read``/``peek`` hand those back.
-    dispatch / flush_every:
-        Event-bus dispatch mode and batch flush interval, passed through
-        to :class:`~repro.machine.core.MachineCore` (``None`` keeps the
-        defaults: the ``REPRO_DISPATCH`` environment switch, else
-        batched dispatch with the standard flush interval).
+    flush_every:
+        Event-bus batch flush interval, passed through to
+        :class:`~repro.machine.core.MachineCore` (``None`` keeps the
+        standard interval).
     """
 
     def __init__(
@@ -105,7 +104,6 @@ class AEMMachine:
         record: bool = False,
         observers: Sequence[MachineObserver] = (),
         counting: bool = False,
-        dispatch: Optional[str] = None,
         flush_every: Optional[int] = None,
     ):
         self.params = params
@@ -129,7 +127,6 @@ class AEMMachine:
         self.core = MachineCore(
             store,
             InternalMemory(params.M, enforce=enforce_capacity),
-            dispatch=dispatch,
             flush_every=flush_every,
         )
         self.disk = self.core.disk

@@ -18,39 +18,27 @@ per-I/O ``cost`` their model charges (``1``/``omega`` for the AEM, the
 transferred volume for the flash model), so every consumer downstream sees
 one uniform event stream regardless of which model produced it.
 
-Dispatch comes in two modes (``dispatch=`` / the ``REPRO_DISPATCH``
-environment variable):
+Batchable events (read/write/acquire/release/touch) accumulate into one
+reused :class:`~repro.observe.batch.EventBatch` of columnar parallel
+arrays and are *flushed* to consumers at phase enter/exit, round
+boundaries, attach/detach, every ``flush_every`` events, and on explicit
+:meth:`flush_events` calls. Observers declaring
+``needs_events``/``needs_payloads`` keep exact synchronous per-event
+delivery (real payloads included); every other observer with a batchable
+handler receives whole batches through ``on_batch`` — its own vectorized
+override, or the inherited default that replays the columns to its
+per-event handlers in order. Phase and round events are never buffered —
+they are the flush boundaries, so per-phase attribution and round-form
+checks see complete, correctly segmented streams.
 
-``"batched"`` (the default)
-    Batchable events (read/write/acquire/release/touch) accumulate into
-    one reused :class:`~repro.observe.batch.EventBatch` of columnar
-    parallel arrays and are *flushed* to consumers at phase enter/exit,
-    round boundaries, attach/detach, every ``flush_every`` events, and on
-    explicit :meth:`flush_events` calls. Observers overriding
-    ``on_batch`` consume whole batches; observers declaring
-    ``needs_events``/``needs_payloads`` keep exact synchronous per-event
-    delivery (real payloads included); everything else is replayed
-    event-by-event at flush time, in order, from the columns. Phase and
-    round events are never buffered — they are the flush boundaries, so
-    per-phase attribution and round-form checks see complete, correctly
-    segmented streams.
-
-``"events"``
-    The classic fully synchronous bus: at attach time the core inspects
-    which handlers the observer actually *overrides* and adds only those
-    to per-event callback lists. This is the reference semantics that the
-    batched mode must reproduce bit-identically (see the dispatch parity
-    suite), and the A/B baseline for the dispatch microbenchmarks.
-
-In both modes, emitting an event that nobody listens to is one truthiness
-check on an empty list, and batching at the semantic level still applies —
+Emitting an event that nobody listens to is one truthiness check on an
+empty list, and batching at the semantic level still applies —
 ``touch(k)`` reports ``k`` internal operations in one event, and block
 transfers are one event per I/O, never per atom.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -70,15 +58,9 @@ from .internal import InternalMemory
 #: Lifecycle hooks, called at attach/detach rather than dispatched.
 _LIFECYCLE = ("on_attach", "on_detach")
 
-#: The dispatch-mode switch read when ``dispatch=None`` (one of
-#: :data:`DISPATCH_MODES`); lets CI and the parity suite flip a whole run
-#: to the per-event reference bus without threading a parameter through.
-DISPATCH_ENV = "REPRO_DISPATCH"
-DISPATCH_MODES = ("batched", "events")
-
-#: Buffered events between forced flushes in batched mode. Large enough
-#: to amortize dispatch, small enough that replayed consumers never sit
-#: on an unbounded buffer.
+#: Buffered events between forced flushes. Large enough to amortize
+#: dispatch, small enough that replaying consumers never sit on an
+#: unbounded buffer.
 DEFAULT_FLUSH_EVERY = 512
 
 _BATCHED_SET = frozenset(BATCHED_EVENTS)
@@ -99,17 +81,6 @@ def install_span_observer_factory(factory) -> None:
     """
     global _SPAN_OBSERVER_FACTORY
     _SPAN_OBSERVER_FACTORY = factory
-
-
-def default_dispatch() -> str:
-    """The dispatch mode used when machines don't pass one explicitly."""
-    mode = os.environ.get(DISPATCH_ENV) or "batched"
-    if mode not in DISPATCH_MODES:
-        raise ValueError(
-            f"{DISPATCH_ENV}={mode!r} is not a dispatch mode; "
-            f"choose one of {DISPATCH_MODES}"
-        )
-    return mode
 
 
 def _validate_handler_names(observer: MachineObserver) -> None:
@@ -142,7 +113,6 @@ class MachineCore:
         mem: InternalMemory,
         observers: Sequence[MachineObserver] = (),
         *,
-        dispatch: str | None = None,
         flush_every: int | None = None,
     ):
         self.disk = disk
@@ -150,14 +120,6 @@ class MachineCore:
         # Counting-mode cores sit on a PhantomBlockStore and carry no atom
         # payloads; observers that need contents are rejected at attach.
         self.payloads = not getattr(disk, "phantom", False)
-        if dispatch is None:
-            dispatch = default_dispatch()
-        elif dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch={dispatch!r} is not a dispatch mode; "
-                f"choose one of {DISPATCH_MODES}"
-            )
-        self.dispatch = dispatch
         self.flush_every = (
             DEFAULT_FLUSH_EVERY if flush_every is None else int(flush_every)
         )
@@ -169,8 +131,7 @@ class MachineCore:
         self.batch = EventBatch()
         self._flushing = False
         self._on_batch: list = []  # bound on_batch methods, attach order
-        self._replay: list = []  # legacy observers replayed at flush
-        self._buffering = False  # batched mode AND someone consumes batches
+        self._buffering = False  # someone consumes batches
         self._record_columns = False  # some consumer needs the columns
         for name in EVENTS:
             setattr(self, "_" + name, [])
@@ -223,61 +184,55 @@ class MachineCore:
     def _rebuild_dispatch(self) -> None:
         """Recompute every dispatch list from ``self.observers``.
 
-        Observers sort into three tiers (batched mode):
+        Observers sort into two tiers:
 
         * *synchronous* — ``needs_events``/``needs_payloads`` observers,
-          whose overridden handlers go into the per-event lists exactly as
-          in events mode (they see real payloads, in real time);
-        * *batch consumers* — observers overriding ``on_batch``;
-        * *replayed* — observers overriding a batchable handler but not
-          ``on_batch``; the buffered events are replayed to them at each
-          flush, in order, with placeholder payloads.
+          whose overridden handlers go into the per-event lists (they see
+          real payloads, in real time);
+        * *batch consumers* — every other observer overriding
+          ``on_batch`` or a batchable handler. One that relies on the
+          inherited ``on_batch`` gets the buffered events replayed to its
+          per-event handlers at each flush, in order, with placeholder
+          payloads.
 
         Phase/round handlers are always dispatched synchronously (those
         events are flush points, fired after the flush). The columnar
         arrays are only recorded when some attached consumer needs them:
-        a replayed observer, or a batch consumer with
-        ``batch_columns = True``. Aggregate-only consumers (the cost
+        one relying on the inherited replay, or an ``on_batch`` override
+        with ``batch_columns = True``. Aggregate-only consumers (the cost
         ledger) leave the columns off, which is the machine's per-I/O
         fast path.
         """
         base = MachineObserver
-        base_batch = getattr(base, "on_batch", None)
         for name in EVENTS:
             getattr(self, "_" + name).clear()
         self._on_batch.clear()
-        self._replay.clear()
-        batched = self.dispatch == "batched"
         needs_columns = False
         for obs in self.observers:
             cls = type(obs)
-            synchronous = (
-                not batched
-                or getattr(obs, "needs_events", False)
-                or getattr(obs, "needs_payloads", False)
+            synchronous = getattr(obs, "needs_events", False) or getattr(
+                obs, "needs_payloads", False
             )
-            has_batch = (
-                not synchronous
-                and getattr(cls, "on_batch", base_batch) is not base_batch
-            )
-            replayed = False
+            batchable = False
             for name in EVENTS:
                 handler = getattr(cls, name, None)
                 if handler is None or handler is getattr(base, name):
                     continue
                 if synchronous or name not in _BATCHED_SET:
                     getattr(self, "_" + name).append(getattr(obs, name))
-                elif not has_batch:
-                    replayed = True
-            if has_batch:
+                else:
+                    batchable = True
+            if synchronous:
+                continue
+            if getattr(cls, "on_batch", base.on_batch) is not base.on_batch:
                 self._on_batch.append(obs.on_batch)
                 if getattr(obs, "batch_columns", True):
                     needs_columns = True
-            if replayed:
-                self._replay.append(obs)
+            elif batchable:
+                self._on_batch.append(obs.on_batch)
                 needs_columns = True
         self._record_columns = needs_columns
-        self._buffering = batched and bool(self._on_batch or self._replay)
+        self._buffering = bool(self._on_batch)
 
     def find(self, kind: type) -> list:
         """All attached observers that are instances of ``kind``."""
@@ -287,7 +242,7 @@ class MachineCore:
     # Batch flushing.
     # ------------------------------------------------------------------
     def flush_events(self) -> None:
-        """Deliver all buffered events to batch/replayed consumers.
+        """Deliver all buffered events to the batch consumers.
 
         Safe to call at any time (no-op when the buffer is empty or when
         already mid-flush); readout paths on observers call this so that
@@ -300,8 +255,6 @@ class MachineCore:
         try:
             for cb in self._on_batch:
                 cb(batch)
-            for obs in self._replay:
-                batch.replay(obs)
         finally:
             batch.clear()
             self._flushing = False
@@ -506,5 +459,5 @@ class MachineCore:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MachineCore({len(self.disk)} blocks, {self.mem!r}, "
-            f"{len(self.observers)} observers, dispatch={self.dispatch!r})"
+            f"{len(self.observers)} observers)"
         )

@@ -231,10 +231,13 @@ class CostCounter:
         )
 
     def reset(self) -> None:
+        """Zero every counter; phases still open restart from zero."""
         self.reads = 0
         self.writes = 0
         self.touches = 0
         self._phases.clear()
+        for name in self._phase_stack:
+            self._phases.setdefault(name, [0, 0, 0])
 
     def describe(self) -> str:
         return self.snapshot().describe()

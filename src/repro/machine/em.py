@@ -24,7 +24,7 @@ def em_machine(M: int, B: int, **kwargs) -> AEMMachine:
     """A symmetric EM machine: an AEM machine with ``omega = 1``.
 
     Keyword arguments (``enforce_capacity``, ``record``, ``observers``,
-    ``counting``, ``dispatch``, ``flush_every``) pass through to
+    ``counting``, ``flush_every``) pass through to
     :class:`~repro.machine.aem.AEMMachine` — in particular the counting
     fast path and the batched event bus are available here too, and the
     machine's own :class:`~repro.observe.CostObserver` is detach-guarded

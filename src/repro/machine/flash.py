@@ -79,7 +79,6 @@ class FlashMachine:
         *,
         observers: Sequence[MachineObserver] = (),
         counting: bool = False,
-        dispatch: Optional[str] = None,
         flush_every: Optional[int] = None,
     ):
         if Br < 1 or Bw < 1:
@@ -104,7 +103,6 @@ class FlashMachine:
             # The model does not enforce a capacity discipline of its own;
             # the ledger exists so shared observers see a complete core.
             InternalMemory(M, enforce=False),
-            dispatch=dispatch,
             flush_every=flush_every,
         )
         self.disk = self.core.disk

@@ -27,11 +27,11 @@ the machines:
 Dispatch is cheap by construction: a machine core keeps one callback list
 per event kind, populated only with observers that *override* that event,
 so un-observed events cost a single truthiness check. On top of that,
-cores default to *batched* dispatch: batchable events accumulate into a
-reused columnar :class:`EventBatch` and are flushed to consumers at phase
-and round boundaries (exact flush points), attach/detach, and every
-``flush_every`` events — see :mod:`repro.observe.batch` for the consumer
-tiers (``on_batch`` / ``needs_events`` / per-event replay).
+batchable events accumulate into a reused columnar :class:`EventBatch`
+and are flushed to consumers at phase and round boundaries (exact flush
+points), attach/detach, and every ``flush_every`` events — see
+:mod:`repro.observe.batch` for the two consumer tiers (``on_batch`` and
+``needs_events``).
 """
 
 from .base import EVENTS, MachineObserver

@@ -45,37 +45,39 @@ that use only ``len(items)``, addresses, and costs — the default — keep
 the class-level ``needs_payloads = False`` and work on both kinds of
 machine unchanged.
 
-Batched dispatch (PR 6): on a core running in the default ``batched``
-dispatch mode, the batchable events (read/write/acquire/release/touch)
+Batched dispatch: the batchable events (read/write/acquire/release/touch)
 are buffered into a columnar :class:`~repro.observe.batch.EventBatch`
 and delivered at flush boundaries. Three class-level knobs control how
 an observer participates:
 
 ``on_batch(batch)``
-    Override to consume whole batches in one call — the vectorized fast
-    path. The batch object and its column lists are reused by the bus;
-    copy anything you keep (lint rule AEM107). Observers that override
-    ``on_batch`` do **not** also get their per-event batchable handlers
-    called in batched mode (keep those for events-mode parity); their
-    phase/round handlers still fire synchronously.
+    Called once per flush. The inherited default replays the batch to
+    the per-event handlers, in original order, with sized placeholder
+    payloads — correct for every ``len(items)``-only consumer. Override
+    it to consume whole batches in one call, the vectorized fast path.
+    The batch object and its column lists are reused by the bus; copy
+    anything you keep (analysis rule AEM203). An override replaces the
+    per-event batchable handlers (keep those as the reference the
+    override is checked against); phase/round handlers still fire
+    synchronously.
 ``needs_events``
     Declare True to opt out of batching entirely: the observer's
     overridden handlers stay on the synchronous per-event path with real
-    payloads, exactly as in events mode. Implied by ``needs_payloads``.
+    payloads. Implied by ``needs_payloads``. Setting it on an instance
+    turns a batch consumer into its own per-event reference.
 ``batch_columns``
-    Set False on ``on_batch`` implementations that use only the batch
+    Set False on ``on_batch`` overrides that use only the batch
     aggregates (``reads``/``writes``/``read_cost``/...). When every
     attached consumer says False the bus skips recording the per-event
-    columns altogether — the machine's cheapest configuration.
-
-Observers that override a batchable handler but none of the above are
-*replayed* event-by-event at each flush, in original order, with sized
-placeholder payloads — correct for every ``len(items)``-only consumer.
+    columns altogether — the machine's cheapest configuration. Observers
+    relying on the inherited replay always need the columns.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .batch import KIND_ACQUIRE, KIND_READ, KIND_TOUCH, KIND_WRITE
 
 EVENTS = (
     "on_read",
@@ -102,8 +104,8 @@ class MachineObserver:
     #: ``len(items)``); such observers cannot attach to counting machines.
     needs_payloads = False
 
-    #: Set True to keep exact synchronous per-event delivery under
-    #: batched dispatch (implied by ``needs_payloads``).
+    #: Set True to keep exact synchronous per-event delivery instead of
+    #: batches (implied by ``needs_payloads``).
     needs_events = False
 
     #: Set False on ``on_batch`` implementations that only use the batch
@@ -113,9 +115,36 @@ class MachineObserver:
     def on_batch(self, batch) -> None:
         """Consume one flushed :class:`~repro.observe.batch.EventBatch`.
 
-        Override for vectorized dispatch. The batch (and its column
+        The default replays the buffered events to the per-event
+        handlers, in original order. I/O payloads are sized
+        :class:`~repro.machine.phantom.PhantomBlock` placeholders;
+        observers that read real atom contents declare
+        ``needs_payloads`` and are dispatched synchronously instead.
+        Overrides are vectorized consumers: the batch (and its column
         lists) are reused after this call returns — copy, don't retain.
         """
+        from ..machine.phantom import PhantomBlock
+
+        on_read = self.on_read
+        on_write = self.on_write
+        on_acquire = self.on_acquire
+        on_release = self.on_release
+        on_touch = self.on_touch
+        wi = 0
+        for kind, addr, length, cost in zip(
+            batch.kinds, batch.addrs, batch.lengths, batch.costs
+        ):
+            if kind == KIND_READ:
+                on_read(addr, PhantomBlock(length), cost)
+            elif kind == KIND_WRITE:
+                on_write(addr, PhantomBlock(length), cost)
+            elif kind == KIND_TOUCH:
+                on_touch(length)
+            elif kind == KIND_ACQUIRE:
+                on_acquire(length, batch.whats[wi])
+                wi += 1
+            else:
+                on_release(length)
 
     def on_attach(self, core) -> None:  # pragma: no cover - trivial
         pass

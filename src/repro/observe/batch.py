@@ -1,24 +1,22 @@
 """Columnar event batches: the vectorized half of the machine event bus.
 
 Per-event dispatch costs one Python call per observer per I/O — the
-dominant wall-time term once counting mode (PR 5) removed payload copies.
+dominant wall-time term once counting mode removed payload copies.
 :class:`EventBatch` is the fix: a :class:`~repro.machine.core.MachineCore`
-running in ``batched`` dispatch mode appends each batchable event
-(read/write/acquire/release/touch) to one reused set of parallel columns
-and *flushes* the batch to consumers at phase boundaries, round
-boundaries, attach/detach, every ``flush_every`` events, and on demand
-(``core.flush_events()``).
+appends each batchable event (read/write/acquire/release/touch) to one
+reused set of parallel columns and *flushes* the batch to consumers at
+phase boundaries, round boundaries, attach/detach, every ``flush_every``
+events, and on demand (``core.flush_events()``).
 
-Consumers come in three tiers:
+Consumers come in two tiers:
 
-* observers overriding :meth:`MachineObserver.on_batch` consume whole
-  batches (one call per flush, vectorized loops inside);
 * observers declaring ``needs_events = True`` (or ``needs_payloads``,
   which implies it) keep exact synchronous per-event delivery with the
   real payloads — batching never touches them;
-* everything else is *replayed* event-by-event at flush time from the
-  columns (:meth:`EventBatch.replay`), in original order, with sized
-  placeholder payloads — the automatic compatibility fallback.
+* every other observer gets one :meth:`MachineObserver.on_batch` call
+  per flush: its own vectorized override, or the inherited default,
+  which replays the columns to its per-event handlers in original order
+  with sized placeholder payloads.
 
 Layout: parallel lists ``kinds``/``addrs``/``lengths``/``costs``/``occs``
 (one entry per event; ``whats`` is a side list holding acquire labels in
@@ -33,7 +31,7 @@ increments.
 The batch object and its column lists are **reused** across flushes
 (``clear()`` empties them in place). ``on_batch`` implementations must
 therefore copy any column they want to keep (``list(batch.addrs)``) —
-retaining a reference is lint rule AEM107.
+retaining a reference is analysis rule AEM203.
 """
 
 from __future__ import annotations
@@ -128,41 +126,6 @@ class EventBatch:
         self.write_cost = 0.0
         self.touches = 0
         self.touch_events = 0
-
-    def replay(self, observer) -> None:
-        """Deliver the buffered events to ``observer`` one at a time.
-
-        The compatibility fallback for observers that neither implement
-        ``on_batch`` nor declare ``needs_events``: events arrive in their
-        original order through the classic per-event handlers. I/O
-        payloads are sized :class:`~repro.machine.phantom.PhantomBlock`
-        placeholders — correct for every ``len(items)``-only consumer;
-        observers that read real atom contents must declare
-        ``needs_payloads``/``needs_events`` and are dispatched
-        synchronously instead.
-        """
-        from ..machine.phantom import PhantomBlock
-
-        on_read = observer.on_read
-        on_write = observer.on_write
-        on_acquire = observer.on_acquire
-        on_release = observer.on_release
-        on_touch = observer.on_touch
-        wi = 0
-        for kind, addr, length, cost in zip(
-            self.kinds, self.addrs, self.lengths, self.costs
-        ):
-            if kind == KIND_READ:
-                on_read(addr, PhantomBlock(length), cost)
-            elif kind == KIND_WRITE:
-                on_write(addr, PhantomBlock(length), cost)
-            elif kind == KIND_TOUCH:
-                on_touch(length)
-            elif kind == KIND_ACQUIRE:
-                on_acquire(length, self.whats[wi])
-                wi += 1
-            else:
-                on_release(length)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -69,7 +69,8 @@ class CostObserver(MachineObserver):
             core.flush_events()
 
     # ------------------------------------------------------------------
-    # Event handlers (events-mode / replay delivery).
+    # Per-event handlers (``needs_events`` delivery; the reference the
+    # batch path is tested against).
     # ------------------------------------------------------------------
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         self._counter.add_read()

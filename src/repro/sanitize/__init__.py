@@ -7,7 +7,8 @@ Two halves (see ``docs/sanitizers.md``):
   (``Q = Qr + omega*Qw`` recomputed from raw events), provenance (no
   teleported data), round form (Lemma 4.1), flash-reduction volume
   (Lemma 4.3);
-* **source lint** — per-file, alias-aware AST rules AEM101-AEM109
+* **source lint** — per-file, alias-aware AST rules AEM101-AEM106 and
+  AEM108-AEM109
   enforcing the layering that keeps the model honest
   (:mod:`repro.sanitize.lint`);
 * **dataflow analysis** — whole-program rules AEM201-AEM204 (phase

@@ -35,14 +35,14 @@ AEM202 — counting-safety inference vs. the allow-list
 AEM203 — batch escape analysis
     The vectorized event bus refills one :class:`EventBatch` in place,
     so any reference to the batch or its column lists that survives
-    ``on_batch`` goes stale silently. Where AEM107 pattern-matched
-    single assignments, this rule runs a taint fixpoint: the batch
-    parameter and ``batch.<column>`` expressions seed the taint, plain
-    assignments/tuple unpacking/container mutation propagate it, and
-    the sinks are stores into ``self``, returns/yields, and closures
-    that capture tainted names and themselves escape. Snapshot calls
-    (``list(...)``, ``.copy()``) clear taint, as does indexing (the
-    columns hold scalars).
+    ``on_batch`` goes stale silently. This rule runs a taint fixpoint:
+    the batch parameter and ``batch.<column>`` expressions seed the
+    taint, plain assignments/tuple unpacking/container mutation
+    propagate it, and the sinks are stores into ``self``, returns/yields,
+    and closures that capture tainted names and themselves escape.
+    Snapshot calls (``list(...)``, ``.copy()``) clear taint, as does
+    indexing (the columns hold scalars); so does passing a column itself
+    to ``extend``/``update``, which copy its scalar elements.
 
 AEM204 — async safety in the serving layer
     ``repro.serve`` runs on one event loop; a blocking call inside an
@@ -93,7 +93,6 @@ RULES: Dict[str, str] = {
     "AEM104": "bare dict cost accounting outside the ledger",
     "AEM105": "observer handler outside the machine event vocabulary",
     "AEM106": "ledger capacity fields assigned outside repro.machine",
-    "AEM107": "observer retains the reused event batch",
     "AEM108": "serving layer constructs a machine directly",
     "AEM109": "observer touches the ambient span machinery",
     "AEM201": "enter_phase without matching exit_phase on some path",
@@ -633,7 +632,7 @@ def _check_counting_safety(project: ProjectModel, root: Path) -> List[Finding]:
 # ----------------------------------------------------------------------
 # AEM203 — batch escape analysis.
 # ----------------------------------------------------------------------
-#: Calls whose *result* is a safe snapshot, clearing taint.
+#: Container methods that store their arguments into the receiver.
 _CONTAINER_MUTATORS = {
     "append",
     "add",
@@ -643,6 +642,10 @@ _CONTAINER_MUTATORS = {
     "setdefault",
     "update",
 }
+
+#: Mutators that store the *elements* of their argument: a column passed
+#: directly hands over its scalars, not the reused list.
+_ELEMENT_COPIERS = {"extend", "update"}
 
 
 class _BatchTaint:
@@ -683,24 +686,47 @@ class _BatchTaint:
             if isinstance(n, ast.Name) and n.id in live
         }
 
+    def tainted_targets(
+        self, target: ast.expr, value: ast.expr
+    ) -> Iterator[ast.expr]:
+        """The targets of ``target = value`` that receive a tainted value.
+
+        Tuple targets pair element-wise with equally long tuple values
+        (``self.a, self.b = batch.costs, 0`` taints only ``self.a``);
+        otherwise every element of a tuple target receives the value.
+        """
+        if (
+            isinstance(target, (ast.Tuple, ast.List))
+            and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)
+        ):
+            for t, v in zip(target.elts, value.elts):
+                yield from self.tainted_targets(t, v)
+        elif self.expr_tainted(value):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                for t in target.elts:
+                    yield from self.tainted_targets(t, value)
+            else:
+                yield target
+
+    def stored_by(self, method: str, arg: ast.expr) -> bool:
+        """Does ``container.<method>(arg)`` store a batch reference?"""
+        if (
+            method in _ELEMENT_COPIERS
+            and isinstance(arg, ast.Attribute)
+            and arg.attr in _BATCH_COLUMNS
+            and self.expr_tainted(arg.value)
+        ):
+            return False
+        return self.expr_tainted(arg)
+
     def _bind(self, target: ast.expr, value: ast.expr) -> bool:
         """Propagate one assignment; True if the taint set grew."""
         grew = False
-        if isinstance(target, (ast.Tuple, ast.List)) and isinstance(
-            value, (ast.Tuple, ast.List)
-        ) and len(target.elts) == len(value.elts):
-            for t, v in zip(target.elts, value.elts):
-                grew = self._bind(t, v) or grew
-            return grew
-        if isinstance(target, (ast.Tuple, ast.List)):
-            if self.expr_tainted(value):
-                for t in target.elts:
-                    grew = self._bind(t, value) or grew
-            return grew
-        if isinstance(target, ast.Name) and self.expr_tainted(value):
-            if target.id not in self.tainted:
-                self.tainted.add(target.id)
-                return True
+        for t in self.tainted_targets(target, value):
+            if isinstance(t, ast.Name) and t.id not in self.tainted:
+                self.tainted.add(t.id)
+                grew = True
         return grew
 
     def solve(self) -> None:
@@ -729,7 +755,7 @@ class _BatchTaint:
                         isinstance(f, ast.Attribute)
                         and f.attr in _CONTAINER_MUTATORS
                         and isinstance(f.value, ast.Name)
-                        and any(self.expr_tainted(a) for a in node.args)
+                        and any(self.stored_by(f.attr, a) for a in node.args)
                     ):
                         if f.value.id not in self.tainted:
                             self.tainted.add(f.value.id)
@@ -788,15 +814,8 @@ def _check_batch_escape(
             # gets flagged (via the captured-name taint).
             for node in scope_walk(item):
                 if isinstance(node, ast.Assign):
-                    if not taint.expr_tainted(node.value):
-                        continue
                     for t in node.targets:
-                        flat = (
-                            list(t.elts)
-                            if isinstance(t, (ast.Tuple, ast.List))
-                            else [t]
-                        )
-                        for tgt in flat:
+                        for tgt in taint.tainted_targets(t, node.value):
                             if isinstance(tgt, ast.Attribute) and _self_rooted(tgt):
                                 flag(node, f"assignment to self.{tgt.attr}")
                             elif isinstance(tgt, ast.Subscript) and _self_rooted(
@@ -810,7 +829,7 @@ def _check_batch_escape(
                         and f.attr in _CONTAINER_MUTATORS
                         and isinstance(f.value, (ast.Attribute, ast.Name))
                         and _self_rooted(f.value)
-                        and any(taint.expr_tainted(a) for a in node.args)
+                        and any(taint.stored_by(f.attr, a) for a in node.args)
                     ):
                         flag(node, f"{f.attr}() into a container on self")
                 elif isinstance(node, ast.Return):

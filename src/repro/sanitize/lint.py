@@ -50,13 +50,6 @@ AEM106
     Nothing outside ``repro.machine`` assigns to a ledger's
     ``occupancy``/``peak``/``capacity`` — tampering with the capacity
     accounting from outside the machine layer.
-AEM107
-    Vectorized observers do not retain references to the reused batch or
-    its column arrays (``kinds``/``addrs``/``lengths``/``costs``/
-    ``occs``/``whats``) beyond ``on_batch``: the bus clears and refills
-    those buffers in place after every flush, so a stored reference goes
-    stale silently. Snapshot with ``list(batch.addrs)`` (or copy the
-    scalar aggregates) instead.
 AEM108
     The serving layer (``repro.serve``) never constructs machines
     directly — no ``AEMMachine``/``FlashMachine``/``MachineCore`` calls
@@ -66,17 +59,16 @@ AEM108
     ``api.evaluate`` calls; a machine built inside a handler bypasses
     all of that.
 AEM109
-    Observers keep their hands off the ambient span machinery (the
-    AEM107 of trace propagation): inside an observer class, the span
-    stack and collector mutators (``use_span``, ``use_collector``,
-    ``set_collector``, ``install_span_observer_factory``) are never
-    called, and the ambient readers (``current_span``,
-    ``current_collector``) appear only in the sanctioned hooks —
-    ``__init__``, ``on_attach``, ``on_detach``. A dispatched handler
-    grabbing ``current_span()`` retains whatever request context happens
-    to be live at flush time, which is not necessarily the run it is
-    observing (batched dispatch defers handler execution); take the span
-    as a constructor argument like
+    Observers keep their hands off the ambient span machinery: inside an
+    observer class, the span stack and collector mutators (``use_span``,
+    ``use_collector``, ``set_collector``,
+    ``install_span_observer_factory``) are never called, and the ambient
+    readers (``current_span``, ``current_collector``) appear only in the
+    sanctioned hooks — ``__init__``, ``on_attach``, ``on_detach``. A
+    dispatched handler grabbing ``current_span()`` retains whatever
+    request context happens to be live at flush time, which is not
+    necessarily the run it is observing (batched dispatch defers handler
+    execution); take the span as a constructor argument like
     :class:`~repro.telemetry.spans.SpanPhaseRecorder` does.
 """
 
@@ -136,7 +128,7 @@ _CORE_ROOTS = {"core", "machine"}
 _ALLOWED_HANDLERS = set(EVENTS) | {"on_attach", "on_detach", "on_batch"}
 
 #: Column arrays of :class:`repro.observe.batch.EventBatch` — the mutable
-#: buffers the bus reuses across flushes (AEM107).
+#: buffers the bus reuses across flushes (AEM203 in analysis.py).
 _BATCH_COLUMNS = {"kinds", "addrs", "lengths", "costs", "occs", "whats"}
 
 #: Machine classes the serving layer must never construct (AEM108);
@@ -239,9 +231,6 @@ class _Checker(ast.NodeVisitor):
         # Function-local names rebound to machine classes (AEM108), one
         # alias map per enclosing function, innermost last.
         self._machine_rebinds: list[dict[str, str]] = []
-        # Name of the batch parameter while inside an observer's
-        # ``on_batch`` body (AEM107); None elsewhere.
-        self._batch_param: Optional[str] = None
         # Name of the observer method being visited (AEM109); nested
         # defs inherit it — a closure runs in its handler's context.
         self._observer_method: Optional[str] = None
@@ -296,7 +285,6 @@ class _Checker(ast.NodeVisitor):
         for t in node.targets:
             self._check_ledger_assign(t)
             self._check_observer_assign(t)
-        self._check_batch_retention(node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -325,7 +313,7 @@ class _Checker(ast.NodeVisitor):
         if observer:
             self._observer_depth -= 1
 
-    # -- AEM107 --------------------------------------------------------
+    # -- AEM108 / AEM109 scope tracking --------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_function(node)
 
@@ -333,7 +321,6 @@ class _Checker(ast.NodeVisitor):
         self._visit_function(node)
 
     def _visit_function(self, node) -> None:
-        prev = self._batch_param
         prev_method = self._observer_method
         if self.in_serve_pkg and self.model is not None:
             rebinds = {
@@ -342,65 +329,12 @@ class _Checker(ast.NodeVisitor):
                 if is_machine_class(qual)
             }
             self._machine_rebinds.append(rebinds)
-        if self._observer_depth > 0 and node.name == "on_batch":
-            args = list(node.args.posonlyargs) + list(node.args.args)
-            # Second positional parameter after self is the batch.
-            if len(args) >= 2:
-                self._batch_param = args[1].arg
         if self._observer_depth > 0 and prev_method is None:
             self._observer_method = node.name
-        # Nested defs inside on_batch inherit the batch name (closures can
-        # retain too); leaving on_batch restores the previous state.
         self.generic_visit(node)
         if self.in_serve_pkg and self.model is not None:
             self._machine_rebinds.pop()
-        self._batch_param = prev
         self._observer_method = prev_method
-
-    def _is_batch_ref(self, node: ast.expr) -> bool:
-        """Is this expression the live batch or one of its column arrays?
-
-        Matches the bare batch parameter and ``batch.<column>`` for the
-        reused list columns. ``list(batch.addrs)`` and scalar aggregates
-        (``batch.n``, ``batch.reads``, ...) are copies — not matched.
-        """
-        if self._batch_param is None:
-            return False
-        if isinstance(node, ast.Name):
-            return node.id == self._batch_param
-        return (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == self._batch_param
-            and node.attr in _BATCH_COLUMNS
-        )
-
-    def _check_batch_retention(self, node: ast.Assign) -> None:
-        if self._batch_param is None:
-            return
-        values = (
-            list(node.value.elts)
-            if isinstance(node.value, (ast.Tuple, ast.List))
-            else [node.value]
-        )
-        if not any(self._is_batch_ref(v) for v in values):
-            return
-        targets: list[ast.expr] = []
-        for t in node.targets:
-            targets.extend(
-                t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
-            )
-        for t in targets:
-            if isinstance(t, ast.Attribute) and _attr_root(t) == "self":
-                self.flag(
-                    "AEM107",
-                    node,
-                    "observer stores a reference to the reused event batch "
-                    "beyond on_batch; the bus clears these buffers in "
-                    "place after every flush — snapshot with list(...) "
-                    "instead",
-                )
-                return
 
     def _reaches_machine_state(self, node: ast.expr) -> bool:
         """Does this attribute chain start at the observed core/machine?
@@ -498,20 +432,6 @@ class _Checker(ast.NodeVisitor):
                 node,
                 f"observer mutates machine state ({node.func.attr}); "
                 "observation must be free — observers only read",
-            )
-        if (
-            self._batch_param is not None
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and _attr_root(node.func.value) == "self"
-            and any(self._is_batch_ref(a) for a in node.args)
-        ):
-            self.flag(
-                "AEM107",
-                node,
-                "observer appends the reused event batch (or a column "
-                "array) to its own state; the bus clears these buffers "
-                "in place after every flush — append a copy instead",
             )
         self._check_span_discipline(node)
         self.generic_visit(node)

@@ -139,7 +139,6 @@ def _scan_case(
     *,
     passes: int = 6,
     counting: bool = False,
-    dispatch: Optional[str] = None,
 ) -> BenchCase:
     """Machine-bound microbench: pure block I/O dispatch, no algorithm.
 
@@ -149,12 +148,6 @@ def _scan_case(
     construction and problem placement happen in ``setup`` (untimed);
     the timed region is ``passes`` streaming scans over the input, so the
     measurement is the per-I/O machine overhead and nothing else.
-
-    ``dispatch`` pins the event-bus mode (PR 6): the default cases run the
-    machine default (batched), and the ``/events`` twins pin the
-    synchronous per-event bus so the trajectory records the columnar
-    batching speedup the same way the ``/counting`` twins record the
-    phantom-store speedup.
     """
 
     def setup() -> object:
@@ -162,9 +155,7 @@ def _scan_case(
         from ..machine.aem import AEMMachine
 
         params = AEMParams(M=8 * B, B=B, omega=8)
-        machine = AEMMachine.for_algorithm(
-            params, counting=counting, dispatch=dispatch
-        )
+        machine = AEMMachine.for_algorithm(params, counting=counting)
         addrs = machine.load_input(make_atoms(range(n)))
         return machine, addrs
 
@@ -180,9 +171,7 @@ def _scan_case(
         )
 
     return BenchCase(
-        f"micro/scan_copy/B{B}n{n}"
-        + ("/counting" if counting else "")
-        + (f"/{dispatch}" if dispatch is not None else ""),
+        f"micro/scan_copy/B{B}n{n}" + ("/counting" if counting else ""),
         run,
         setup,
     )
@@ -216,8 +205,6 @@ def default_suite() -> Tuple[BenchCase, ...]:
         _search_case(4000, 128, _P, counting=True),
         _scan_case(128, 200_000),
         _scan_case(128, 200_000, counting=True),
-        _scan_case(128, 200_000, dispatch="events"),
-        _scan_case(128, 200_000, counting=True, dispatch="events"),
     )
 
 

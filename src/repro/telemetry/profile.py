@@ -6,9 +6,10 @@ attributes every I/O to the *stack path* under which it happened —
 ``("sort", "form_runs")`` rather than the flat innermost-phase totals
 the cost ledger keeps. On the batched bus it consumes whole
 :class:`~repro.observe.batch.EventBatch` aggregates (phase boundaries
-are flush points, so charging a batch to the current path is exact); in
-events mode the per-event handlers produce the identical attribution.
-It needs no payloads, so it works on counting machines unchanged.
+are flush points, so charging a batch to the current path is exact); a
+``needs_events`` instance's per-event handlers produce the identical
+attribution. It needs no payloads, so it works on counting machines
+unchanged.
 
 The cardinal invariant is **conservation**: summed over all paths, the
 attributed Qr / Qw / Q / T equal the machine's own cost ledger — checked

@@ -157,7 +157,7 @@ class SpanPhaseRecorder(MachineObserver):
     timeline uses the machine's logical clock (one tick per I/O) and is
     aggregate-only on the batched bus (``batch_columns = False``) —
     phase boundaries are flush points, so the tick at each ``B``/``E``
-    mark is exact in either dispatch mode.
+    mark is exact batched or per-event.
     """
 
     batch_columns = False

@@ -1,6 +1,6 @@
-"""Injected AEM203 batch-escape violations the old single-assignment
-heuristic (AEM107) cannot see: tuple unpacking, container smuggling,
-aliasing, closure capture, and returns."""
+"""Injected AEM203 batch-escape violations that need the taint
+fixpoint, not a single-assignment match: tuple unpacking, container
+smuggling, aliasing, closure capture, and returns."""
 
 from .base import MachineObserver
 

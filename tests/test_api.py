@@ -227,27 +227,11 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shims over the old entry points.
+# The measurement entry points.
 # ----------------------------------------------------------------------
 class TestDeprecatedShims:
-    def test_measure_sort_warns_and_delegates(self):
-        from repro.experiments import common
-
-        with pytest.warns(DeprecationWarning, match="measure_sort is deprecated"):
-            shimmed = common.measure_sort("aem_mergesort", 200, P)
-        assert shimmed == measures.measure_sort("aem_mergesort", 200, P)
-
-    def test_measure_permute_warns(self):
-        from repro.experiments import common
-
-        with pytest.warns(DeprecationWarning, match="measure_permute"):
-            common.measure_permute("naive", 64, P)
-
-    def test_measure_spmxv_warns(self):
-        from repro.experiments import common
-
-        with pytest.warns(DeprecationWarning, match="measure_spmxv"):
-            common.measure_spmxv("sort_based", 64, 2, P)
+    """The old ``repro.experiments.common.measure_*`` shims are gone; the
+    paths that replaced them stay warning-free."""
 
     def test_new_path_does_not_warn(self):
         import warnings

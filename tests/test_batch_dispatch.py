@@ -1,21 +1,18 @@
-"""Batched vs per-event dispatch parity (PR 6).
+"""Batched dispatch against its per-event reference, in one run.
 
 The columnar event bus is an optimization, not a semantic change: every
-shipping observer and sanitizer must end a run in bit-identical state
-whether the machine delivers events synchronously (``dispatch="events"``)
-or accumulates them into :class:`~repro.observe.batch.EventBatch` flushes
-(``dispatch="batched"``), at any flush granularity. This file is the
-correctness harness for that contract:
+shipped batch consumer must end a run in the state its own per-event
+handlers produce, at any flush granularity. Each test attaches every
+consumer twice to one machine — once as shipped, and once as a *twin*
+with ``needs_events = True`` set on the instance, which keeps it on the
+synchronous per-event path with real payloads — and compares each pair
+field by field:
 
 * a scripted-op corpus (reads, writes, peeks, acquire/release, touch,
-  nested phases, round boundaries, ragged blocks) driven through the full
-  observer rig — cost ledger, wear map, metrics, progress, Perfetto
-  trace, sanitizer suite, and a legacy per-event observer exercising the
-  replay fallback — compared field-by-field across dispatch modes and
-  flush sizes, on full, counting, and flash machines;
-* sanitizer *violation* parity on a deliberately breaching run;
-* the 20-experiment paired-mode sweep: records and check verdicts
-  identical under ``REPRO_DISPATCH=events`` and ``=batched``.
+  nested phases, round boundaries, ragged blocks) on full, counting,
+  and flash machines across flush sizes, with a legacy per-event
+  observer exercising the inherited ``on_batch`` replay;
+* sanitizer *violation* parity on a deliberately breaching run.
 """
 
 from __future__ import annotations
@@ -26,18 +23,19 @@ import json
 import pytest
 
 from repro.core.params import AEMParams
-from repro.engine import ExperimentConfig
-from repro.experiments import REGISTRY, run_experiment
 from repro.machine.aem import AEMMachine
 from repro.machine.flash import FlashMachine
 from repro.observe.base import MachineObserver
+from repro.observe.cost import CostObserver
 from repro.observe.progress import ProgressObserver
 from repro.observe.wear import WearMap
 from repro.sanitize.capacity import CapacitySanitizer
 from repro.sanitize.cost import CostSanitizer
-from repro.sanitize.suite import attach_sanitizers
+from repro.sanitize.rounds import RoundFormSanitizer
 from repro.telemetry.observer import MetricsObserver
 from repro.telemetry.perfetto import PerfettoObserver
+from repro.telemetry.profile import CostProfiler
+from repro.telemetry.spans import SpanContext, SpanPhaseRecorder
 
 P = AEMParams(M=64, B=8, omega=4)
 
@@ -45,11 +43,13 @@ P = AEMParams(M=64, B=8, omega=4)
 #: offsets, and the default (one flush per boundary for this corpus).
 FLUSH_SIZES = (1, 3, 512)
 
+SPAN = SpanContext.root()
+
 
 class EventLog(MachineObserver):
-    """Legacy per-event observer: no ``on_batch``, so in batched mode it
-    lands on the replay-fallback tier and must still see the exact event
-    sequence (payload lengths included) in the exact order."""
+    """Legacy per-event observer: no ``on_batch`` override, so the
+    inherited default replays each flushed batch to it and it must still
+    see the exact event sequence (payload lengths included) in order."""
 
     def __init__(self):
         self.records = []
@@ -77,6 +77,108 @@ class EventLog(MachineObserver):
 
     def on_round_boundary(self, index):
         self.records.append(("round", index))
+
+
+# ----------------------------------------------------------------------
+# The consumers: a factory (given the machine) and a readout of
+# everything the observer accumulated, as comparables.
+# ----------------------------------------------------------------------
+def _cost_sanitizer(machine) -> CostSanitizer:
+    if isinstance(machine, FlashMachine):
+        return CostSanitizer(read_cost=machine.Br, write_cost=machine.Bw)
+    return CostSanitizer()
+
+
+def _sanitizer_state(s, *fields) -> tuple:
+    # ``ok`` first: it finalizes (ledger reconciliation, open rounds).
+    return (s.ok, s.events, s.violations) + tuple(getattr(s, f) for f in fields)
+
+
+def _progress_state(p: ProgressObserver) -> tuple:
+    p.close()
+    return p.reads, p.writes, p.rounds, p.stream.getvalue()
+
+
+def _perfetto_state(p: PerfettoObserver) -> str:
+    p.close()
+    return json.dumps(p.builder.trace(), sort_keys=True)
+
+
+CONSUMERS = {
+    "cost": (
+        lambda m: CostObserver(),
+        lambda o: (o.snapshot(), o.counter.phases, o.read_cost, o.write_cost),
+    ),
+    "wear": (lambda m: WearMap(), lambda o: (dict(o.counts), o.histogram())),
+    "progress": (
+        lambda m: ProgressObserver(io.StringIO(), every=5, live=False),
+        _progress_state,
+    ),
+    "metrics": (lambda m: MetricsObserver(), lambda o: o.collect()),
+    "profiler": (
+        lambda m: CostProfiler(),
+        lambda o: {p: s.as_dict() for p, s in o.paths().items()},
+    ),
+    "profiler_blocks": (
+        lambda m: CostProfiler(track_blocks=True),
+        lambda o: {p: s.as_dict() for p, s in o.paths().items()},
+    ),
+    "perfetto": (lambda m: PerfettoObserver(), _perfetto_state),
+    "spans": (
+        lambda m: SpanPhaseRecorder(SPAN),
+        lambda o: {k: v for k, v in o.export().items() if k != "wall_start"},
+    ),
+    "capacity": (
+        lambda m: CapacitySanitizer(),
+        lambda o: _sanitizer_state(o, "peak"),
+    ),
+    "cost_sanitizer": (
+        _cost_sanitizer,
+        lambda o: _sanitizer_state(
+            o, "reads", "writes", "touches", "read_cost_total",
+            "write_cost_total", "phases",
+        ),
+    ),
+    "rounds": (
+        lambda m: RoundFormSanitizer(),
+        lambda o: _sanitizer_state(o, "rounds", "max_round_cost"),
+    ),
+    "log": (lambda m: EventLog(), lambda o: o.records),
+}
+
+
+def attach_pairs(machine) -> dict:
+    """Attach each consumer as shipped and as its per-event twin."""
+    pairs = {}
+    for label, (make, _readout) in CONSUMERS.items():
+        batched = machine.attach(make(machine))
+        twin = make(machine)
+        twin.needs_events = True
+        machine.attach(twin)
+        pairs[label] = (batched, twin)
+    return pairs
+
+
+def readouts(pairs) -> tuple[dict, dict]:
+    """``(batched states, per-event twin states)`` keyed by consumer."""
+    batched, twins = {}, {}
+    for label, (obs, twin) in pairs.items():
+        readout = CONSUMERS[label][1]
+        batched[label] = readout(obs)
+        twins[label] = readout(twin)
+    return batched, twins
+
+
+def test_twins_really_take_the_per_event_path():
+    machine = AEMMachine(P)
+    pairs = attach_pairs(machine)
+    core = machine.core
+    for label, (obs, twin) in pairs.items():
+        assert obs.on_batch in core._on_batch, label
+        assert twin.on_batch not in core._on_batch, label
+        assert any(getattr(twin, name) in getattr(core, "_" + name)
+                   for name in ("on_read", "on_write")), label
+    assert core._record_columns is True
 
 
 # ----------------------------------------------------------------------
@@ -115,65 +217,26 @@ def drive(m) -> None:
     m.release(m.read(addrs[4]))
 
 
-def rig_machine(dispatch, flush_every, *, counting=False):
+def assert_clean(states: dict) -> None:
+    """The scripted corpus breaks no model rule (``ok`` leads each
+    sanitizer readout)."""
+    for label in ("capacity", "cost_sanitizer", "rounds"):
+        assert states[label][0], (label, states[label])
+
+
+def run_scripted(flush_every=None, *, counting=False, flush=False):
+    """``(batched states, twin states, machine state)`` for one run."""
     machine = AEMMachine.for_algorithm(
-        P, counting=counting, dispatch=dispatch, flush_every=flush_every
+        P, counting=counting, flush_every=flush_every
     )
-    return machine, {
-        "wear": machine.attach(WearMap()),
-        "metrics": machine.attach(MetricsObserver()),
-        "progress": machine.attach(
-            ProgressObserver(io.StringIO(), every=5, live=False)
-        ),
-        "perfetto": machine.attach(PerfettoObserver()),
-        "log": machine.attach(EventLog()) if not counting else None,
-        "suite": attach_sanitizers(machine, rounds=True),
-    }
-
-
-def state_of(machine, rig) -> dict:
-    """Everything an observer could have accumulated, as comparables."""
-    rig["progress"].close()
-    rig["perfetto"].close()
-    suite = rig["suite"]
-    cap = suite[CapacitySanitizer]
-    cost = suite[CostSanitizer]
-    state = {
-        "snapshot": machine.snapshot(),
-        "io_count": machine.core.io_count,
-        "mem_peak": machine.core.mem.peak,
-        "wear_counts": dict(rig["wear"].counts),
-        "wear_histogram": dict(rig["wear"].histogram()),
-        "metrics": rig["metrics"].collect(),
-        "progress": (
-            rig["progress"].reads,
-            rig["progress"].writes,
-            rig["progress"].rounds,
-            rig["progress"].stream.getvalue(),
-        ),
-        "perfetto": json.dumps(rig["perfetto"].builder.trace(), sort_keys=True),
-        "cap_events": cap.events,
-        "cap_peak": cap.peak,
-        "cost_events": cost.events,
-        "cost_tallies": (
-            cost.reads,
-            cost.writes,
-            cost.touches,
-            cost.read_cost_total,
-            cost.write_cost_total,
-        ),
-        "cost_phases": {k: list(v) for k, v in cost.phases.items()},
-        "violations": suite.violations,
-    }
-    if rig["log"] is not None:
-        state["log"] = list(rig["log"].records)
-    return state
-
-
-def run_scripted(dispatch, flush_every=None, *, counting=False) -> dict:
-    machine, rig = rig_machine(dispatch, flush_every, counting=counting)
+    pairs = attach_pairs(machine)
     drive(machine)
-    return state_of(machine, rig)
+    if flush:
+        machine.flush()
+        machine.flush()
+    batched, twins = readouts(pairs)
+    state = (machine.snapshot(), machine.core.io_count, machine.core.mem.peak)
+    return batched, twins, state
 
 
 # ----------------------------------------------------------------------
@@ -182,37 +245,29 @@ def run_scripted(dispatch, flush_every=None, *, counting=False) -> dict:
 class TestScriptedParity:
     @pytest.mark.parametrize("flush_every", FLUSH_SIZES)
     def test_full_machine(self, flush_every):
-        baseline = run_scripted("events")
-        batched = run_scripted("batched", flush_every)
-        assert batched == baseline
-        assert baseline["violations"] == []
+        batched, twins, _ = run_scripted(flush_every)
+        assert batched == twins
+        assert_clean(batched)
 
     @pytest.mark.parametrize("flush_every", FLUSH_SIZES)
     def test_counting_machine(self, flush_every):
-        baseline = run_scripted("events", counting=True)
-        batched = run_scripted("batched", flush_every, counting=True)
-        assert batched == baseline
-        assert baseline["violations"] == []
+        batched, twins, _ = run_scripted(flush_every, counting=True)
+        assert batched == twins
+        assert_clean(batched)
 
     def test_counting_batched_matches_full_events(self):
         # The two fast paths composed still reproduce the reference
-        # stream: counting+batched vs full+events, same observer state.
-        baseline = run_scripted("events")
-        fast = run_scripted("batched", counting=True)
-        for key in (
-            "snapshot", "io_count", "mem_peak", "wear_counts",
-            "wear_histogram", "metrics", "perfetto", "cap_events",
-            "cap_peak", "cost_events", "cost_tallies", "cost_phases",
-            "violations",
-        ):
-            assert fast[key] == baseline[key], key
+        # stream: counting+batched vs full+per-event, same observer state.
+        _, full_twins, full_state = run_scripted()
+        fast, _, fast_state = run_scripted(counting=True)
+        assert fast_state == full_state
+        assert fast == full_twins
 
     def test_explicit_flush_is_idempotent(self):
-        machine, rig = rig_machine("batched", 512)
-        drive(machine)
-        machine.flush()
-        machine.flush()
-        assert state_of(machine, rig) == run_scripted("events")
+        batched, twins, state = run_scripted(512, flush=True)
+        assert batched == twins
+        unflushed, _, unflushed_state = run_scripted(512)
+        assert (batched, state) == (unflushed, unflushed_state)
 
 
 # ----------------------------------------------------------------------
@@ -233,48 +288,31 @@ class TestFlashParity:
             fm.read_covering(addrs[0], 1, fm.Bw - 1)
         fm.write_block(addrs[2], [7, 8, 9])
 
-    def run(self, dispatch, flush_every=None, *, counting=False) -> dict:
-        fm = FlashMachine(
-            M=64, Br=2, Bw=8,
-            counting=counting, dispatch=dispatch, flush_every=flush_every,
-        )
-        wear = fm.attach(WearMap())
-        metrics = fm.attach(MetricsObserver())
-        suite = attach_sanitizers(fm)
-        self.drive_flash(fm)
-        return {
-            "volume": (fm.volume, fm.read_volume, fm.write_volume),
-            "ops": (fm.read_ops, fm.write_ops),
-            "io_count": fm.core.io_count,
-            "wear_counts": dict(wear.counts),
-            "metrics": metrics.collect(),
-            "cost_tallies": (
-                suite[CostSanitizer].events,
-                suite[CostSanitizer].read_cost_total,
-                suite[CostSanitizer].write_cost_total,
-            ),
-            "violations": suite.violations,
-        }
-
     @pytest.mark.parametrize("flush_every", FLUSH_SIZES)
     @pytest.mark.parametrize("counting", [False, True])
     def test_flash_machine(self, flush_every, counting):
-        baseline = self.run("events", counting=counting)
-        batched = self.run("batched", flush_every, counting=counting)
-        assert batched == baseline
-        assert baseline["violations"] == []
+        fm = FlashMachine(
+            M=64, Br=2, Bw=8, counting=counting, flush_every=flush_every
+        )
+        pairs = attach_pairs(fm)
+        self.drive_flash(fm)
+        batched, twins = readouts(pairs)
+        assert batched == twins
+        assert batched["cost_sanitizer"][0]
+        assert batched["cost"][2:] == (fm.read_volume, fm.write_volume)
 
 
 # ----------------------------------------------------------------------
 # Violation parity: a breaching run reports the same verdicts either way.
 # ----------------------------------------------------------------------
 class TestViolationParity:
-    @staticmethod
-    def overfill(dispatch, flush_every=None):
-        machine = AEMMachine(
-            P, enforce_capacity=False, dispatch=dispatch, flush_every=flush_every
-        )
-        suite = attach_sanitizers(machine)
+    @pytest.mark.parametrize("flush_every", FLUSH_SIZES)
+    def test_capacity_breaches_identical(self, flush_every):
+        machine = AEMMachine(P, enforce_capacity=False, flush_every=flush_every)
+        cap = machine.attach(CapacitySanitizer())
+        twin = CapacitySanitizer()
+        twin.needs_events = True
+        machine.attach(twin)
         addrs = []
         for i in range(2 * (P.M // P.B)):
             items = list(range(i, i + P.B))
@@ -282,26 +320,6 @@ class TestViolationParity:
             addrs.append(machine.write_fresh(items))
         for a in addrs:  # read everything, release nothing: occupancy 2M
             machine.read(a)
-        return suite.violations
-
-    @pytest.mark.parametrize("flush_every", FLUSH_SIZES)
-    def test_capacity_breaches_identical(self, flush_every):
-        baseline = self.overfill("events")
-        batched = self.overfill("batched", flush_every)
-        assert batched == baseline
-        assert baseline  # the probe does breach
-        assert all(v.rule == "CAPACITY" for v in baseline)
-
-
-# ----------------------------------------------------------------------
-# The headline acceptance: every experiment, batched vs per-event, at
-# quick sizes — identical records and identical check verdicts.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("eid", sorted(REGISTRY))
-def test_experiment_dispatch_parity(eid, monkeypatch):
-    monkeypatch.setenv("REPRO_DISPATCH", "events")
-    legacy = run_experiment(eid, ExperimentConfig(budget="quick"))
-    monkeypatch.setenv("REPRO_DISPATCH", "batched")
-    batched = run_experiment(eid, ExperimentConfig(budget="quick"))
-    assert batched.records == legacy.records
-    assert batched.checks == legacy.checks
+        assert cap.violations == twin.violations
+        assert cap.violations  # the probe does breach
+        assert all(v.rule == "CAPACITY" for v in cap.violations)

@@ -89,6 +89,27 @@ class TestMachineParity:
         assert counting.core.io_count == full.core.io_count
         assert counting.mem.peak == full.mem.peak
 
+    def test_scan_copy_b128_ragged_costs_match(self):
+        """The streaming scan at a large block size, with a ragged last
+        block: the counting fast path's whole-block chunking must charge
+        exactly what the per-atom full path does."""
+        from repro.atoms.atom import make_atoms
+        from repro.machine.streams import scan_copy
+
+        B = 128
+        params = AEMParams(M=8 * B, B=B, omega=8)
+        n = B * 37 + 51
+        costs = []
+        for counting in (False, True):
+            m = AEMMachine.for_algorithm(params, counting=counting)
+            run = m.load_input(make_atoms(range(n)))
+            for _ in range(2):  # the second pass reads the first's output
+                run = scan_copy(m, run)
+            snap = m.snapshot()
+            costs.append((snap.Q, snap.reads, snap.writes, snap.touches, m.mem.peak))
+        assert costs[1] == costs[0]
+        assert costs[0][1] == 2 * 38  # 38 blocks read per pass
+
     def test_read_returns_tokens_for_known_blocks(self):
         _, m = paired_machines()
         (addr,) = m.load_input([3, 1, 2])

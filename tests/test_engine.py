@@ -409,18 +409,6 @@ class TestExperimentConfig:
         assert engine.cache is not None
         assert ExperimentConfig(cache=False).make_engine().cache is None
 
-    def test_quick_shim_warns_and_matches_config_run(self):
-        with pytest.warns(DeprecationWarning, match="quick= is deprecated"):
-            legacy = run_experiment("e12", quick=True)
-        modern = run_experiment("e12", ExperimentConfig(budget="quick"))
-        assert isinstance(legacy, ExperimentResult)
-        assert legacy.records == modern.records
-        assert legacy.checks == modern.checks
-
-    def test_config_and_quick_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            run_experiment("e12", ExperimentConfig(), quick=False)
-
 
 class TestRunAllOrdering:
     def test_run_all_executes_in_natural_order(self, monkeypatch):

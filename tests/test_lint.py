@@ -154,6 +154,17 @@ class TestAEM105:
             """
         ) == []
 
+    def test_on_batch_is_a_known_handler(self):
+        # AEM105 must not fire on the vectorized hook.
+        found = lint(
+            """
+            class Vectorized(MachineObserver):
+                def on_batch(self, batch):
+                    pass
+            """
+        )
+        assert found == []
+
 
 # ----------------------------------------------------------------------
 # AEM106: ledger fields are written only by the machine layer.
@@ -170,138 +181,6 @@ class TestAEM106:
 
     def test_reading_is_fine(self):
         assert lint("x = mem.occupancy") == []
-
-
-# ----------------------------------------------------------------------
-# AEM107: on_batch must not retain references to the reused batch.
-# ----------------------------------------------------------------------
-class TestAEM107:
-    def test_storing_the_batch_fires(self):
-        found = lint(
-            """
-            class Hoarder(MachineObserver):
-                def on_batch(self, batch):
-                    self.last = batch
-            """
-        )
-        assert rules(found) == {"AEM107"}
-
-    def test_storing_a_column_array_fires(self):
-        found = lint(
-            """
-            class Hoarder(MachineObserver):
-                def on_batch(self, batch):
-                    self.addrs = batch.addrs
-            """
-        )
-        assert rules(found) == {"AEM107"}
-
-    def test_appending_a_column_fires(self):
-        found = lint(
-            """
-            class Hoarder(MachineObserver):
-                def on_batch(self, batch):
-                    self.history.append(batch.kinds)
-            """
-        )
-        assert rules(found) == {"AEM107"}
-
-    def test_tuple_assignment_fires(self):
-        found = lint(
-            """
-            class Hoarder(MachineObserver):
-                def on_batch(self, batch):
-                    self.a, self.b = batch.costs, 0
-            """
-        )
-        assert rules(found) == {"AEM107"}
-
-    def test_other_parameter_name_fires(self):
-        found = lint(
-            """
-            class Hoarder(MachineObserver):
-                def on_batch(self, events):
-                    self.stash = events.lengths
-            """
-        )
-        assert rules(found) == {"AEM107"}
-
-    def test_copying_is_fine(self):
-        found = lint(
-            """
-            class Careful(MachineObserver):
-                def on_batch(self, batch):
-                    self.addrs = list(batch.addrs)
-                    self.kinds = tuple(batch.kinds)
-            """
-        )
-        assert found == []
-
-    def test_scalar_aggregates_are_fine(self):
-        found = lint(
-            """
-            class Careful(MachineObserver):
-                def on_batch(self, batch):
-                    self.reads = self.reads + batch.reads
-                    self.seen = batch.n
-            """
-        )
-        assert found == []
-
-    def test_extending_copies_elements_and_is_fine(self):
-        found = lint(
-            """
-            class Careful(MachineObserver):
-                def on_batch(self, batch):
-                    self.history.extend(batch.addrs)
-            """
-        )
-        assert found == []
-
-    def test_local_variable_is_fine(self):
-        found = lint(
-            """
-            class Careful(MachineObserver):
-                def on_batch(self, batch):
-                    addrs = batch.addrs
-                    for a in addrs:
-                        self.count = self.count + 1
-            """
-        )
-        assert found == []
-
-    def test_outside_on_batch_unconstrained(self):
-        # Per-event handlers get no batch; storing their arguments is the
-        # normal pattern (payload observers), not an AEM107 matter.
-        found = lint(
-            """
-            class Recorder(MachineObserver):
-                def on_read(self, addr, items, cost):
-                    self.items = items
-            """
-        )
-        assert found == []
-
-    def test_on_batch_is_a_known_handler(self):
-        # AEM105 must not fire on the vectorized hook.
-        found = lint(
-            """
-            class Vectorized(MachineObserver):
-                def on_batch(self, batch):
-                    pass
-            """
-        )
-        assert found == []
-
-    def test_line_disable_works(self):
-        found = lint(
-            """
-            class Pinned(MachineObserver):
-                def on_batch(self, batch):
-                    self.last = batch  # lint: disable=AEM107
-            """
-        )
-        assert found == []
 
 
 # ----------------------------------------------------------------------
@@ -483,10 +362,10 @@ class TestDisables:
         from repro.sanitize.lint import _parse_disables
 
         per_line, per_file = _parse_disables(
-            "x = 1  # lint: disable=AEM101 ,AEM104,  AEM107\n"
+            "x = 1  # lint: disable=AEM101 ,AEM104,  AEM203\n"
             "# lint: disable-file=AEM108,AEM109\n"
         )
-        assert per_line == {1: {"AEM101", "AEM104", "AEM107"}}
+        assert per_line == {1: {"AEM101", "AEM104", "AEM203"}}
         assert per_file == {"AEM108", "AEM109"}
 
     def test_disable_anywhere_in_multiline_statement_span(self):

@@ -106,10 +106,11 @@ class TestDispatch:
             def on_write(self, addr, items, cost):
                 self.writes += 1
 
-        # Events mode: the classic contract — only the overridden handler
-        # lands in a per-event callback list, and it fires synchronously.
+        # Per-event delivery: only the overridden handler lands in a
+        # per-event callback list, and it fires synchronously.
         obs = WritesOnly()
-        machine = AEMMachine(P, observers=[obs], dispatch="events")
+        obs.needs_events = True
+        machine = AEMMachine(P, observers=[obs])
         core = machine.core
         assert obs.on_write in getattr(core, "_on_write")
         assert all(obs.on_read is not cb for cb in getattr(core, "_on_read"))
@@ -127,12 +128,14 @@ class TestDispatch:
                 self.writes += 1
 
         obs = WritesOnly()
-        machine = AEMMachine(P, observers=[obs], dispatch="batched")
+        machine = AEMMachine(P, observers=[obs])
         core = machine.core
-        # Batched mode: a legacy observer joins the replay tier instead of
-        # the per-event lists; its handlers fire at flush boundaries.
-        assert obs in core._replay
-        assert all(obs.on_write is not cb for cb in getattr(core, "_on_write"))
+        # A legacy observer is a batch consumer through the inherited
+        # on_batch, which replays the columns to its handlers at flush
+        # boundaries; it is on none of the per-event lists.
+        assert obs.on_batch in core._on_batch
+        assert core._record_columns is True
+        assert all(obs.on_write != cb for cb in getattr(core, "_on_write"))
         machine.acquire(2)
         addr = machine.write_fresh([1, 2])
         machine.release(machine.read(addr))

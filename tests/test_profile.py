@@ -3,8 +3,9 @@
 The cardinal property pinned here is **conservation**: for every
 registered sorter, permuter, and SpMxV algorithm, the profiler's
 per-path attribution sums exactly to the machine's own cost ledger —
-under batched *and* per-event dispatch, on full *and* counting machines
-(where supported), across hypothesis-drawn (M, B, omega, N) points.
+batched *and* per-event (a ``needs_events`` twin in the same run), on
+full *and* counting machines (where supported), across
+hypothesis-drawn (M, B, omega, N) points.
 On top of that: the export formats (folded stacks, speedscope JSON,
 the top-N table), sweep-level merging, the engine's ``profile=True``
 collection path, and the ``repro-aem profile`` CLI surface.
@@ -84,13 +85,15 @@ class TestConservation:
                              [("sort", "aem_mergesort"),
                               ("permute", "adaptive"),
                               ("spmxv", "sort_based")])
-    def test_batched_events_parity(self, workload, impl, monkeypatch):
-        """The per-event reference bus attributes identically."""
-        monkeypatch.setenv("REPRO_DISPATCH", "batched")
-        batched, brec = _profiled(workload, _query(workload, impl))
-        monkeypatch.setenv("REPRO_DISPATCH", "events")
-        events, erec = _profiled(workload, _query(workload, impl))
-        assert events.conservation_errors(erec) == []
+    def test_batched_events_parity(self, workload, impl):
+        """A per-event twin on the same run attributes identically."""
+        batched = CostProfiler(root=workload)
+        events = CostProfiler(root=workload)
+        events.needs_events = True
+        rec = api.evaluate(
+            workload, _query(workload, impl), observers=[batched, events]
+        )
+        assert events.conservation_errors(rec) == []
         assert {p: s.as_dict() for p, s in batched.paths().items()} == {
             p: s.as_dict() for p, s in events.paths().items()
         }

@@ -253,7 +253,7 @@ class TestMetricsObserver:
         # The always-attached CostObserver consumes batch aggregates only.
         assert len(core._on_batch) == 1
         assert len(core._on_read) == 0 and len(core._on_write) == 0
-        assert core._record_columns is False and core._replay == []
+        assert core._record_columns is False
         obs = MetricsObserver()
         machine.attach(obs)
         core = machine.core
@@ -271,18 +271,18 @@ class TestMetricsObserver:
 
     @pytest.mark.no_sanitize  # inspects exact listener lists
     def test_events_mode_keeps_legacy_callback_lists(self):
-        """The events dispatch mode preserves the seed's synchronous
+        """A ``needs_events`` instance keeps the seed's synchronous
         contract: attach adds exactly the overridden handlers to the
         per-event lists; detach restores them."""
-        machine = AEMMachine(P, dispatch="events")
+        machine = AEMMachine(P)
         core = machine.core
-        assert len(core._on_read) == 1 and len(core._on_write) == 1
-        assert core._buffering is False
         baseline = {name: len(getattr(core, "_" + name)) for name in
                     ("on_read", "on_write", "on_touch", "on_phase_enter",
                      "on_phase_exit", "on_round_boundary")}
         obs = MetricsObserver()
+        obs.needs_events = True
         machine.attach(obs)
+        assert obs.on_batch not in core._on_batch
         grown = {name: len(getattr(machine.core, "_" + name)) for name in baseline}
         assert grown == {name: n + 1 for name, n in baseline.items()}
         machine.detach(obs)
