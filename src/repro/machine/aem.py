@@ -335,6 +335,7 @@ class AEMMachine:
         self.disk.free(addr)
         if self.counting:
             self._tokens.pop(addr, None)
+            self._raw.pop(addr, None)
 
     def block_len(self, addr: int) -> int:
         """Number of atoms stored in block ``addr`` (cost-free metadata).

@@ -133,9 +133,29 @@ class BlockWriter:
         self.machine.acquire(1)
         self.push(item)
 
-    def extend(self, items: Iterable) -> None:
-        for it in items:
-            self.push(it)
+    def extend(self, items: Sequence) -> None:
+        """``push`` every atom of ``items`` in order, a block at a time.
+
+        Fills the pending block first, then writes whole B-slices, so the
+        writes land at exactly the addresses, lengths and points the
+        per-atom ``push`` loop produces.
+        """
+        B = self.machine.params.B
+        n = len(items)
+        self.count += n
+        i = 0
+        if self._buf:
+            i = min(n, B - len(self._buf))
+            self._buf.extend(items[:i])
+            if len(self._buf) < B:
+                return
+            self._flush_block()
+        while n - i >= B:
+            addr = self._next_addr()
+            self.machine.write(addr, items[i : i + B])
+            self.addrs.append(addr)
+            i += B
+        self._buf = list(items[i:])
 
     def _flush_block(self) -> None:
         addr = self._next_addr()

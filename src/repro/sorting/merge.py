@@ -334,8 +334,7 @@ def multiway_merge(
         # ---------------- Phase D: emit the round's output --------------
         with machine.phase("merge/emit"):
             new_threshold = token_of(buffer[-1])
-            for atom in buffer:
-                out.push(atom)
+            out.extend(buffer)
             emitted += len(buffer)
             rs.emitted = len(buffer)
             buffer = []

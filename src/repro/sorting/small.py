@@ -19,7 +19,7 @@ duplicate keys.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Optional
 
 from ..core.params import AEMParams
@@ -67,7 +67,9 @@ def small_sort(
         return Run.of(out.close() if own_writer else [], 0)
 
     M = params.M
-    counting = machine.counting
+    if machine.counting:
+        _counting_passes(machine, run, M, out)
+        return Run.of(out.close() if own_writer else (), N)
     threshold = None  # (key, uid) of the last atom emitted so far
     emitted = 0
     while emitted < N:
@@ -76,22 +78,6 @@ def small_sort(
         with machine.phase("small_sort/scan"):
             for addr in run.addrs:
                 blk = machine.read(addr)
-                if counting:
-                    # Batched selection over tokens: the M smallest of
-                    # (buffer ∪ accepted atoms) is feed-order independent,
-                    # so extend+sort+truncate reaches the per-atom loop's
-                    # exact buffer; touches and releases keep their totals
-                    # (releases = len + old_len - new_len) in one event.
-                    machine.touch(len(blk))
-                    old_len = len(buffer)
-                    if threshold is None:
-                        buffer.extend(blk)
-                    else:
-                        buffer.extend(t for t in blk if t > threshold)
-                    buffer.sort()
-                    del buffer[M:]
-                    machine.release(len(blk) + old_len - len(buffer))
-                    continue
                 kept = 0
                 for atom in blk:
                     machine.touch()
@@ -109,14 +95,65 @@ def small_sort(
                     # else: atom cannot be among this pass's M smallest.
                 machine.release(len(blk) - kept)
         with machine.phase("small_sort/emit"):
-            for atom in buffer:
-                out.push(atom)
+            out.extend(buffer)
             emitted += len(buffer)
             threshold = token_of(buffer[-1])
     if own_writer:
         addrs = out.close()
         return Run.of(addrs, N)
     return Run.of((), N)
+
+
+def _counting_passes(
+    machine: AEMMachine, run: Run, M: int, out: BlockWriter
+) -> None:
+    """The selection passes on a counting machine, from one sort.
+
+    After block j of a pass, the selection buffer holds ``min(M, c)``
+    atoms, ``c`` being the tokens read so far in the pass whose global
+    rank is at least the number already emitted; the pass then emits the
+    next ``min(M, N - emitted)`` ranks. So pass 0 sorts the tokens it
+    reads once, ranking positions (equal tokens stay distinct), and
+    keeps each block's sorted ranks. Every pass issues, per block, one
+    ``read``, one ``touch(n)`` and one ``release(n + old - new)`` — the
+    per-atom loop's totals, grouped per block — with ``new`` from a
+    bisect count. The rank table is simulator bookkeeping like the
+    token stash: model memory still holds at most M atoms, and every
+    re-read is charged.
+    """
+    tokens: list = []
+    bounds = [0]  # block j holds tokens[bounds[j]:bounds[j + 1]]
+    held = 0  # the selection buffer's length
+    with machine.phase("small_sort/scan"):
+        for addr in run.addrs:
+            blk = machine.read(addr)
+            n = len(blk)
+            machine.touch(n)
+            tokens.extend(blk)
+            bounds.append(len(tokens))
+            new = min(M, held + n)
+            machine.release(n + held - new)
+            held = new
+        by_rank = sorted(range(len(tokens)), key=tokens.__getitem__)
+        block_ranks: list[list[int]] = [[] for _ in run.addrs]
+        for r, pos in enumerate(by_rank):  # ascending, so each list is sorted
+            block_ranks[bisect_right(bounds, pos) - 1].append(r)
+        order = [tokens[pos] for pos in by_rank]
+    emitted = 0
+    while True:
+        with machine.phase("small_sort/emit"):
+            out.extend(order[emitted : emitted + held])
+            emitted += held
+        if emitted == len(order):
+            return
+        held = 0
+        with machine.phase("small_sort/scan"):
+            for addr, ranks in zip(run.addrs, block_ranks):
+                n = len(machine.read(addr))
+                machine.touch(n)
+                new = min(M, held + n - bisect_left(ranks, emitted))
+                machine.release(n + held - new)
+                held = new
 
 
 def small_sort_addrs(

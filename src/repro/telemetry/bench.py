@@ -5,22 +5,24 @@ how the repository *knows* whether it still is. One run of the suite
 
 1. executes a fixed set of benchmark cases (sorters, permuters, SpMxV
    on pinned instances) measuring wall time and the exact model costs
-   (``Q``/``Qr``/``Qw`` — deterministic, so any drift is an algorithm
-   change, not noise);
+   (``Q``/``Qr``/``Qw``/``T``/``peak_mem`` — deterministic, so any drift
+   is an algorithm change, not noise);
 2. writes the results as one ``BENCH_<stamp>.json`` *trajectory point*
    (committing a sequence of them across PRs plots the repo's
    performance history);
 3. gates against the committed baseline
    (``benchmarks/BENCH_baseline.json``): any case slower than
-   ``baseline * threshold`` exits nonzero. The threshold lives in ONE
-   place — :data:`DEFAULT_THRESHOLD`, overridable by the
+   ``baseline * threshold``, or whose cost counters differ from the
+   baseline's, exits nonzero. The threshold lives in ONE place —
+   :data:`DEFAULT_THRESHOLD`, overridable by the
    ``REPRO_BENCH_THRESHOLD`` environment variable or ``--threshold`` —
    so tightening the gate is a one-line change.
 
-Wall times are min-of-``repeats`` (the standard noise floor estimator);
-cost drift is reported as a warning rather than a failure, because a
-deliberate algorithmic improvement *should* change costs — the fix is
-``--write-baseline``, reviewed like any other diff.
+Wall times are min-of-``repeats`` (the standard noise floor estimator).
+Cost drift fails the gate: the counters are deterministic, so drift is a
+bug until shown to be intended. A deliberate algorithmic change that
+moves costs is accepted with ``--write-baseline``, reviewed like any
+other diff.
 
 Entry points: ``repro-aem bench`` (the CLI) and
 ``scripts/bench_trajectory.py`` (CI / direct use).
@@ -282,7 +284,7 @@ def load_point(path: Union[str, Path]) -> dict:
 # ----------------------------------------------------------------------
 # The gate.
 # ----------------------------------------------------------------------
-COST_KEYS = ("Q", "Qr", "Qw")
+COST_KEYS = ("Q", "Qr", "Qw", "T", "peak_mem")
 
 
 def compare(
@@ -291,10 +293,10 @@ def compare(
     """``(regressions, warnings)`` of ``current`` vs ``baseline`` points.
 
     A *regression* (gate-failing): a baseline case missing from the
-    current run, or slower than ``baseline_wall * threshold``. A
-    *warning* (reported, not failing): cost-counter drift — the
-    simulator is deterministic, so drift means the algorithm changed and
-    the baseline wants regenerating — and cases with no baseline yet.
+    current run, slower than ``baseline_wall * threshold``, or with any
+    cost counter (:data:`COST_KEYS`) differing from the baseline's — the
+    simulator is deterministic, so drift means the algorithm changed. A
+    *warning* (reported, not failing): cases with no baseline yet.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -315,9 +317,9 @@ def compare(
             )
         for key in COST_KEYS:
             if key in base and key in cur and cur[key] != base[key]:
-                warnings.append(
+                regressions.append(
                     f"{name}: {key} drifted {base[key]:g} -> {cur[key]:g} "
-                    "(deterministic counter; regenerate the baseline if intended)"
+                    "(deterministic counter; --write-baseline if intended)"
                 )
     for name in cur_benches:
         if name not in base_benches:

@@ -10,6 +10,11 @@ Document-at-a-time evaluation with skip-to-block:
 * **Disjunctive** (``mode="or"``): a doc-ordered multiway merge over all
   terms' postings streams, summing the frequencies of equal-doc heads.
 
+Both run block at a time: keys are extracted once per loaded block, and
+per-posting touches and releases go into a per-query :class:`_Tally`
+that is settled before every read and acquire, so occupancy at each of
+them is exactly that of a per-call ledger.
+
 Scores are frequency sums decoded from the packed keys, so ranking works
 on scheduling tokens and the *results* — not just the costs — are
 bit-identical between full and counting machines. The query path issues
@@ -31,9 +36,48 @@ from typing import Sequence
 from ...core.params import AEMParams
 from ...machine.aem import AEMMachine
 from ...machine.phantom import token_of
-from ...machine.streams import BlockReader
 from .corpus import FREQ_CAP, Corpus
 from .index import PostingsList, SearchIndex, reference_index
+
+
+class _Tally:
+    """One query's pending touches and releases, settled in bulk.
+
+    The DAAT loops add their per-posting touches and releases here
+    instead of calling the machine each time. :meth:`settle` hands them
+    over, releases first, and runs immediately before every read and
+    acquire and once at the end of the query, so occupancy at every
+    read and acquire — hence the peak and any capacity check — is the
+    per-call ledger's, and touches only feed ``T``.
+    """
+
+    __slots__ = ("machine", "touches", "releases")
+
+    def __init__(self, machine: AEMMachine):
+        self.machine = machine
+        self.touches = 0
+        self.releases = 0
+
+    def settle(self) -> None:
+        if self.releases:
+            self.machine.release(self.releases)
+            self.releases = 0
+        if self.touches:
+            self.machine.touch(self.touches)
+            self.touches = 0
+
+    def read(self, addr: int) -> list:
+        self.settle()
+        return self.machine.read(addr)
+
+    def acquire(self, k: int, what: str) -> None:
+        self.settle()
+        self.machine.acquire(k, what)
+
+
+def _keys(blk) -> list[int]:
+    """The packed posting keys of one loaded postings block."""
+    return [token_of(item)[0] for item in blk]
 
 
 class _TermCursor:
@@ -46,87 +90,79 @@ class _TermCursor:
     once per query because ``doc`` only grows.
     """
 
-    def __init__(self, machine: AEMMachine, plist: PostingsList, n_docs: int):
-        self.machine = machine
-        self.plist = plist
-        self.n_docs = n_docs
-        self._skip_idx = -1  # index of the resident skip block
-        self._skip: list[int] = []
-        self._blk_idx = -1  # global index of the resident postings block
-        self._keys: list[int] = []
-        self._exhausted = not plist.addrs
-
-    @property
-    def exhausted(self) -> bool:
-        return self._exhausted
+    def __init__(self, tally: _Tally, plist: PostingsList, n_docs: int):
+        self.tally = tally
+        self.addrs = plist.addrs
+        self.skip_addrs = plist.skip_addrs
+        self.B = tally.machine.params.B
+        self.base = plist.term * n_docs * FREQ_CAP  # key of (term, doc 0)
+        self.skip_idx = -1  # index of the resident skip block
+        self.skip: list[int] = []
+        self.blk_idx = -1  # global index of the resident postings block
+        self.keys: list[int] = []
+        #: Set once the term has no postings at or past a probed doc.
+        self.exhausted = not plist.addrs
 
     def _load_skip(self, idx: int) -> None:
-        if self._skip:
-            self.machine.release(len(self._skip))
-        blk = self.machine.read(self.plist.skip_addrs[idx])
-        self._skip = [token_of(w) for w in blk]
-        self._skip_idx = idx
+        self.tally.releases += len(self.skip)
+        self.skip = [token_of(w) for w in self.tally.read(self.skip_addrs[idx])]
+        self.skip_idx = idx
 
     def _load_block(self, idx: int) -> None:
-        if self._keys:
-            self.machine.release(len(self._keys))
-        blk = self.machine.read(self.plist.addrs[idx])
-        self.machine.touch(len(blk))  # key-extraction scan
-        self._keys = [token_of(item)[0] for item in blk]
-        self._blk_idx = idx
+        tally = self.tally
+        tally.releases += len(self.keys)
+        blk = tally.read(self.addrs[idx])
+        tally.touches += len(blk)  # key-extraction scan
+        self.keys = _keys(blk)
+        self.blk_idx = idx
 
     def advance(self, doc: int):
         """Frequency of ``doc`` in this term, or ``None`` if absent.
 
-        Monotone: callers must probe docs in ascending order. Sets
-        :attr:`exhausted` once the term has no postings at or past
-        ``doc``.
+        Monotone: callers must probe docs in ascending order.
         """
-        if self._exhausted:
+        if self.exhausted:
             return None
-        B = self.machine.params.B
-        if self._skip_idx < 0:
+        if self.skip_idx < 0:
             self._load_skip(0)
         # Walk skip blocks until one ends at or past the target doc.
-        while self._skip[-1] < doc:
-            self.machine.touch()
-            if self._skip_idx + 1 >= len(self.plist.skip_addrs):
-                self._exhausted = True
+        while self.skip[-1] < doc:
+            self.tally.touches += 1
+            if self.skip_idx + 1 >= len(self.skip_addrs):
+                self.exhausted = True
                 return None
-            self._load_skip(self._skip_idx + 1)
-        # First postings block whose last doc is >= doc.
-        self.machine.touch()
-        blk_idx = self._skip_idx * B + bisect_left(self._skip, doc)
-        if blk_idx > self._blk_idx or self._blk_idx < 0:
+            self._load_skip(self.skip_idx + 1)
+        # First postings block whose last doc is >= doc, then the doc in it.
+        self.tally.touches += 2
+        blk_idx = self.skip_idx * self.B + bisect_left(self.skip, doc)
+        if blk_idx > self.blk_idx:
             self._load_block(blk_idx)
-        lo = (self.plist.term * self.n_docs + doc) * FREQ_CAP
-        self.machine.touch()
-        pos = bisect_left(self._keys, lo)
-        if pos < len(self._keys) and self._keys[pos] < lo + FREQ_CAP:
-            return self._keys[pos] - lo
+        lo = self.base + doc * FREQ_CAP
+        keys = self.keys
+        pos = bisect_left(keys, lo)
+        if pos < len(keys) and keys[pos] < lo + FREQ_CAP:
+            return keys[pos] - lo
         return None
 
     def close(self) -> None:
-        held = len(self._skip) + len(self._keys)
-        if held:
-            self.machine.release(held)
-        self._skip = []
-        self._keys = []
+        self.tally.releases += len(self.skip) + len(self.keys)
+        self.skip = []
+        self.keys = []
 
 
 class _TopK:
     """A k-entry min-heap of ``(score, -doc)`` with honest slot accounting."""
 
-    def __init__(self, machine: AEMMachine, k: int):
-        self.machine = machine
+    def __init__(self, tally: _Tally, k: int):
+        self.tally = tally
         self.k = k
         self.heap: list[tuple[int, int]] = []
 
     def offer(self, doc: int, score: int) -> None:
-        self.machine.touch()
+        self.tally.touches += 1
         entry = (score, -doc)
         if len(self.heap) < self.k:
-            self.machine.acquire(1, "top-k entry")
+            self.tally.acquire(1, "top-k entry")
             heapq.heappush(self.heap, entry)
         elif entry > self.heap[0]:
             heapq.heapreplace(self.heap, entry)
@@ -139,90 +175,106 @@ class _TopK:
                 self.heap, key=lambda e: (-e[0], -e[1])
             )
         ]
-        if self.heap:
-            self.machine.release(len(self.heap))
+        self.tally.releases += len(self.heap)
         self.heap = []
         return out
 
 
-def _doc_of(key: int, n_docs: int) -> int:
-    return (key // FREQ_CAP) % n_docs
-
-
 def _query_and(
-    machine: AEMMachine,
+    tally: _Tally,
     plists: list[PostingsList],
     n_docs: int,
     k: int,
 ) -> list[tuple[int, int]]:
-    """Conjunctive DAAT: rarest term drives, others are probed via skips."""
+    """Conjunctive DAAT: rarest term drives, others are probed via skips.
+
+    The driver's blocks are read one at a time, the next only once the
+    current one's postings are consumed and the query goes on.
+    """
     plists = sorted(plists, key=lambda p: (p.df, p.term))
     driver, rest = plists[0], plists[1:]
-    cursors = [_TermCursor(machine, p, n_docs) for p in rest]
-    reader = BlockReader(machine, driver.addrs)
-    topk = _TopK(machine, k)
+    cursors = [_TermCursor(tally, p, n_docs) for p in rest]
+    topk = _TopK(tally, k)
+    held = 0  # driver postings read but not yet inspected
     try:
-        for item in reader:
-            machine.release(1)  # taken key inspected, not kept
-            key = token_of(item)[0]
-            doc = _doc_of(key, n_docs)
-            score = key % FREQ_CAP
-            dead = False
-            for cur in cursors:
-                freq = cur.advance(doc)
-                if cur.exhausted:
-                    dead = True
-                    break
-                if freq is None:
-                    score = -1
-                    break
-                score += freq
-            if dead:
-                break
-            if score >= 0:
-                topk.offer(doc, score)
+        for addr in driver.addrs:
+            keys = _keys(tally.read(addr))
+            held = len(keys)
+            for key in keys:
+                held -= 1
+                tally.releases += 1  # taken key inspected, not kept
+                doc = (key // FREQ_CAP) % n_docs
+                score = key % FREQ_CAP
+                for cur in cursors:
+                    freq = cur.advance(doc)
+                    if freq is None:
+                        break
+                    score += freq
+                else:
+                    topk.offer(doc, score)
+                    continue
+                if cur.exhausted:  # no later driver doc can match
+                    return topk.close()
     finally:
-        reader.close()
+        tally.releases += held
         for cur in cursors:
             cur.close()
     return topk.close()
 
 
+class _Stream:
+    """One term's postings as a disjunctive merge input: block-at-a-time."""
+
+    __slots__ = ("addrs", "next", "keys", "pos")
+
+    def __init__(self, addrs: Sequence[int]):
+        self.addrs = addrs
+        self.next = 0  # index of the next block to read
+        self.keys: list[int] = []  # the resident block's keys
+        self.pos = 0  # next unconsumed key
+
+
 def _query_or(
-    machine: AEMMachine,
+    tally: _Tally,
     plists: list[PostingsList],
     n_docs: int,
     k: int,
 ) -> list[tuple[int, int]]:
-    """Disjunctive DAAT: doc-ordered merge of all streams, summing freqs."""
-    readers = [BlockReader(machine, p.addrs) for p in plists]
-    topk = _TopK(machine, k)
+    """Disjunctive DAAT: doc-ordered merge of all streams, summing freqs.
+
+    Every merge step inspects each stream's head (one touch apiece); a
+    stream reads its next block when the step finds its resident one
+    consumed.
+    """
+    streams = [_Stream(p.addrs) for p in plists]
+    topk = _TopK(tally, k)
     try:
         while True:
-            best_doc = None
-            for r in readers:
-                machine.touch()
-                head = r.peek()
-                if head is None:
-                    continue
-                doc = _doc_of(token_of(head)[0], n_docs)
-                if best_doc is None or doc < best_doc:
-                    best_doc = doc
-            if best_doc is None:
+            tally.touches += len(streams)
+            best = None
+            for s in streams:
+                while s.pos >= len(s.keys) and s.next < len(s.addrs):
+                    s.keys = _keys(tally.read(s.addrs[s.next]))
+                    s.next += 1
+                    s.pos = 0
+                if s.pos < len(s.keys):
+                    doc = (s.keys[s.pos] // FREQ_CAP) % n_docs
+                    if best is None or doc < best:
+                        best = doc
+            if best is None:
                 break
             score = 0
-            for r in readers:
-                head = r.peek()
-                if head is None:
-                    continue
-                key = token_of(head)[0]
-                if _doc_of(key, n_docs) == best_doc:
-                    score += key % FREQ_CAP
-                    r.drop()
-            topk.offer(best_doc, score)
+            for s in streams:
+                if s.pos < len(s.keys):
+                    key = s.keys[s.pos]
+                    if (key // FREQ_CAP) % n_docs == best:
+                        score += key % FREQ_CAP
+                        s.pos += 1
+                        tally.releases += 1
+            topk.offer(best, score)
     finally:
-        for r in readers:
-            r.close()
+        for s in streams:
+            tally.releases += len(s.keys) - s.pos
     return topk.close()
 
 
@@ -246,6 +298,7 @@ def run_queries(
         raise ValueError(f"unknown query mode {mode!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    evaluate = _query_and if mode == "and" else _query_or
     results: list[list[tuple[int, int]]] = []
     for terms in queries:
         with machine.phase("query/lookup"):
@@ -258,10 +311,12 @@ def run_queries(
             plists = [index.lexicon[t] for t in present]
             if not plists or (mode == "and" and len(present) < len(terms)):
                 results.append([])
-            elif mode == "and":
-                results.append(_query_and(machine, plists, index.n_docs, k))
-            else:
-                results.append(_query_or(machine, plists, index.n_docs, k))
+                continue
+            tally = _Tally(machine)
+            try:
+                results.append(evaluate(tally, plists, index.n_docs, k))
+            finally:
+                tally.settle()
     return results
 
 
@@ -272,22 +327,35 @@ def reference_search(
     k: int = 8,
     mode: str = "and",
 ) -> list[list[tuple[int, int]]]:
-    """Plain-Python reference evaluation (the referee's answer key)."""
+    """Plain-Python reference evaluation (the referee's answer key).
+
+    Conjunctions intersect from the rarest term's docs; each term's
+    doc -> freq dict is built once per call.
+    """
     ref = reference_index(corpus)
+    freqs: dict[int, dict[int, int]] = {}
+
+    def doc_freqs(term: int) -> dict[int, int]:
+        if term not in freqs:
+            freqs[term] = dict(ref[term])
+        return freqs[term]
+
     out: list[list[tuple[int, int]]] = []
     for terms in queries:
         scores: dict[int, int] = {}
         if mode == "and":
             if all(t in ref for t in terms):
-                sets = [dict(ref[t]) for t in terms]
-                common = set(sets[0])
-                for s in sets[1:]:
-                    common &= set(s)
-                scores = {d: sum(s[d] for s in sets) for d in common}
+                sets = [doc_freqs(t) for t in terms]
+                common = min(sets, key=len).keys()
+                for s in sets:
+                    common = common & s.keys()
+                scores = dict.fromkeys(common, 0)
+                for s in sets:
+                    for d in common:
+                        scores[d] += s[d]
         else:
             for t in terms:
                 for doc, freq in ref.get(t, ()):
                     scores[doc] = scores.get(doc, 0) + freq
-        ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))[:k]
-        out.append(ranked)
+        out.append(heapq.nsmallest(k, scores.items(), key=lambda e: (-e[1], e[0])))
     return out

@@ -115,6 +115,18 @@ class TestMachineParity:
         (addr,) = m.load_input([3, 1, 2])
         assert sorted(m.read(addr)) == [1, 2, 3]
 
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    @pytest.mark.parametrize("op", ["read", "peek"])
+    def test_freed_unread_block_raises(self, counting, op):
+        # Written, never read, then freed: no stale snapshot may survive.
+        m = AEMMachine.for_algorithm(P, counting=counting)
+        m.acquire(3)
+        addr = m.write_fresh([3, 1, 2])
+        m.free(addr)
+        with pytest.raises(AddressError):
+            getattr(m, op)(addr)
+        assert m.reads == 0
+
     def test_unknown_block_reads_as_phantom(self):
         _, m = paired_machines()
         addr = m.allocate_one()

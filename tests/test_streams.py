@@ -6,6 +6,7 @@ from repro.atoms.atom import make_atoms
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
 from repro.machine.streams import BlockReader, BlockWriter, scan_copy
+from repro.observe.base import MachineObserver
 
 
 @pytest.fixture
@@ -98,6 +99,38 @@ class TestWriter:
         writer.extend(atoms)
         assert writer.close() == pre
 
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    def test_extend_writes_like_per_atom_push(self, counting):
+        # Ragged chunk lengths (empty, partial, exact, multi-block) after
+        # a partly filled buffer: every write must land at the address,
+        # length, occupancy and point between chunks that push gives.
+        chunks = [0, 1, 3, 4, 5, 9, 2, 8, 0, 7]
+
+        def run(bulk):
+            m = AEMMachine(AEMParams(M=64, B=4, omega=2), counting=counting)
+            log = m.attach(WriteLog())
+            atoms = make_atoms(range(2 + sum(chunks)))
+            items = [a.sort_token() for a in atoms] if counting else atoms
+            m.acquire(len(items))
+            writer = BlockWriter(m)
+            writer.push(items[0])
+            writer.push(items[1])
+            i = 2
+            for n in chunks:
+                part = items[i : i + n]
+                i += n
+                if bulk:
+                    writer.extend(part)
+                else:
+                    for it in part:
+                        writer.push(it)
+                log.events.append(("chunk", writer.buffered, writer.count))
+            addrs = writer.close()
+            data = None if counting else m.collect_output(addrs)
+            return log.events, addrs, data, m.mem.occupancy
+
+        assert run(bulk=True) == run(bulk=False)
+
     def test_count_tracks_pushes(self, m):
         writer = BlockWriter(m)
         atoms = make_atoms(range(5))
@@ -105,6 +138,21 @@ class TestWriter:
         writer.extend(atoms)
         assert writer.count == 5
         writer.close()
+
+
+class WriteLog(MachineObserver):
+    """Synchronous record of every write: address, length, occupancy."""
+
+    needs_events = True
+
+    def __init__(self):
+        self.events = []
+
+    def on_attach(self, core):
+        self.mem = core.mem
+
+    def on_write(self, addr, items, cost):
+        self.events.append(("write", addr, len(items), self.mem.occupancy))
 
 
 class TestScanCopy:

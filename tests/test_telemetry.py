@@ -11,8 +11,8 @@ The load-bearing guarantees pinned here:
   the manifest never disagrees with the CostRecord next to it;
 * the engine's duck-typed ``telemetry`` hook records one span per
   measurement, cache hits as zero-width spans;
-* the bench gate fails on wall-time regressions and only warns on
-  deterministic cost drift.
+* the bench gate fails on wall-time regressions and on any drift of
+  the deterministic cost counters.
 """
 
 import json
@@ -381,7 +381,7 @@ class TestManifest:
 def fake_point(**walls):
     return {
         "benchmarks": {
-            name: {"wall_s": wall, "Q": 100.0, "Qr": 60, "Qw": 5}
+            name: {"wall_s": wall, "Q": 100.0, "Qr": 60, "Qw": 5, "T": 40, "peak_mem": 16}
             for name, wall in walls.items()
         }
     }
@@ -406,12 +406,13 @@ class TestBenchGate:
         )
         assert any("gone" in r for r in regressions)
 
-    def test_cost_drift_warns_but_passes(self):
+    @pytest.mark.parametrize("key", ["Q", "Qr", "Qw", "T", "peak_mem"])
+    def test_cost_drift_fails(self, key):
         current = fake_point(a=0.1)
-        current["benchmarks"]["a"]["Q"] = 120.0
+        current["benchmarks"]["a"][key] += 1
         regressions, warnings = compare(current, fake_point(a=0.1), threshold=2.0)
-        assert regressions == []
-        assert any("drifted" in w for w in warnings)
+        assert len(regressions) == 1 and f"a: {key} drifted" in regressions[0]
+        assert warnings == []
 
     def test_new_case_warns(self):
         _, warnings = compare(
