@@ -3,11 +3,11 @@
 
 Asserts the observability acceptance surface end to end:
 
-1. ``repro-aem profile`` on one sort and one SpMxV config exits zero —
-   the in-command conservation check (attributed totals == the cost
-   ledger) is a hard failure, so the exit code alone carries it — and
-   writes loadable ``profile.folded`` / ``profile.speedscope.json``
-   artifacts with nonzero stack depth;
+1. ``repro-aem profile`` on every registered workload exits zero — the
+   in-command conservation check (attributed totals == the ledgers of
+   the profiled machines) is a hard failure, so the exit code alone
+   carries it — and writes loadable ``profile.folded`` /
+   ``profile.speedscope.json`` artifacts with nonzero stack depth;
 2. a direct :class:`CostProfiler` run conserves exactly on both a full
    and a counting machine, with identical per-path attribution;
 3. one query served with a telemetry dir yields a ``trace.json`` whose
@@ -30,10 +30,12 @@ from repro.cli import main as cli_main
 from repro.serve import ServeConfig, ServerThread
 from repro.telemetry import CostProfiler, validate_trace
 
-PROFILE_TARGETS = [
-    ("sort", ["--sorter", "aem_mergesort", "--n", "4096"]),
-    ("spmxv", ["--algorithm", "sort_based", "--n", "256", "--delta", "3"]),
-]
+#: Flags per workload target; every other registered workload is
+#: profiled at ``--n 1024``.
+PROFILE_FLAGS = {
+    "sort": ["--sorter", "aem_mergesort", "--n", "4096"],
+    "spmxv": ["--algorithm", "sort_based", "--n", "256", "--delta", "3"],
+}
 MACHINE = ["--m", "64", "--b", "8", "--omega", "4"]
 
 
@@ -43,7 +45,8 @@ def fail(msg: str) -> None:
 
 
 def check_cli_profiles(out_dir: Path) -> None:
-    for target, flags in PROFILE_TARGETS:
+    for target in api.workload_names():
+        flags = PROFILE_FLAGS.get(target, ["--n", "1024"])
         dest = out_dir / f"profile-{target}"
         rc = cli_main(
             ["profile", target, *flags, *MACHINE, "--out", str(dest)]

@@ -1,13 +1,15 @@
-"""The workload registry: one routing table for CLI, experiments, server.
+"""The workload registry: one schema for CLI, experiments, server.
 
 Every entry point that answers "what does workload X cost at
-(M, B, omega, N)?" — the ``repro-aem sort|permute|spmxv`` commands, the
-experiment sweeps, the cost-oracle server — used to carry its own
-dispatch: its own argument parsing, its own defaults, its own call into a
-``measure_*`` function. This module centralizes that into
-:class:`WorkloadSpec` records keyed by workload name, plus
-:func:`normalize`, which turns a flat, JSON-friendly *query* dict into
-the exact keyword config the measurement function takes.
+(M, B, omega, N)?" resolves through the :class:`WorkloadSpec` records
+here, keyed by workload name: the ``repro-aem`` runner subcommands (one
+per registered workload, their flags generated from the spec's
+:class:`QueryField` s), the experiment sweeps, and the cost-oracle
+server's ``/workloads`` and ``/evaluate``. Each field carries its type,
+default, choices and help text, so the command line and the server
+describe a workload the same way. :func:`normalize` turns a flat,
+JSON-friendly *query* dict into the exact keyword config the
+measurement function takes.
 
 A query is flat and serializable::
 
@@ -33,6 +35,11 @@ from ..core.params import AEMParams
 from ..engine.cache import cache_key
 from ..permute.base import PERMUTERS
 from ..sorting.base import SORTERS
+from ..workloads.generators import (
+    CONFORMATION_FAMILIES,
+    KEY_DISTRIBUTIONS,
+    PERMUTATION_FAMILIES,
+)
 from ..workloads.search import measures as search_measures
 from . import measures
 
@@ -50,22 +57,28 @@ class QueryField:
     """One accepted field of a workload query.
 
     ``name`` is both the query key and the measurement-function keyword.
-    ``coerce`` turns the JSON-decoded value into the right Python type
-    (raising ``ValueError``/``TypeError`` on garbage); ``choices``, when
-    set, restricts the coerced value to a known set.
+    ``coerce`` turns the JSON-decoded value (or a command-line string)
+    into the right Python type, raising ``ValueError``/``TypeError`` on
+    garbage; ``choices``, when set, restricts the coerced value to a
+    known set. ``help`` describes the field wherever it is shown — the
+    ``/workloads`` schema and the CLI's ``--help`` — and changes nothing
+    about a query.
     """
 
     name: str
     coerce: Callable[[Any], Any]
     default: Any = REQUIRED
     choices: Optional[Tuple[str, ...]] = None
+    help: str = ""
 
     @property
     def required(self) -> bool:
         return self.default is REQUIRED
 
 
-def _coerce_int(value: Any) -> int:
+# The coercers are named for the type they accept: argparse uses them as
+# ``type=`` and reports a bad flag value as "invalid integer value: 'x'".
+def integer(value: Any) -> int:
     if isinstance(value, bool):
         raise QueryError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
@@ -73,19 +86,19 @@ def _coerce_int(value: Any) -> int:
     return int(value)
 
 
-def _coerce_float(value: Any) -> float:
+def number(value: Any) -> float:
     if isinstance(value, bool):
         raise QueryError(f"expected a number, got {value!r}")
     return float(value)
 
 
-def _coerce_bool(value: Any) -> bool:
+def boolean(value: Any) -> bool:
     if not isinstance(value, bool):
         raise QueryError(f"expected true/false, got {value!r}")
     return value
 
 
-def _coerce_str(value: Any) -> str:
+def string(value: Any) -> str:
     if not isinstance(value, str):
         raise QueryError(f"expected a string, got {value!r}")
     return value
@@ -94,9 +107,9 @@ def _coerce_str(value: Any) -> str:
 #: Machine-parameter fields shared by every workload; folded into one
 #: ``params=AEMParams(M, B, omega)`` keyword by :func:`normalize`.
 MACHINE_FIELDS: Tuple[QueryField, ...] = (
-    QueryField("M", _coerce_int, default=128),
-    QueryField("B", _coerce_int, default=16),
-    QueryField("omega", _coerce_float, default=8.0),
+    QueryField("M", integer, default=128, help="internal memory M (atoms)"),
+    QueryField("B", integer, default=16, help="block size B (atoms)"),
+    QueryField("omega", number, default=8.0, help="write/read cost ratio"),
 )
 
 #: Execution-mode fields present on every workload. ``counting`` has no
@@ -104,8 +117,14 @@ MACHINE_FIELDS: Tuple[QueryField, ...] = (
 #: the config, letting the serving/engine layer inject its own policy
 #: (and keeping cache keys distinct between the two cases).
 COMMON_FIELDS: Tuple[QueryField, ...] = (
-    QueryField("seed", _coerce_int, default=0),
-    QueryField("counting", _coerce_bool, default=None),
+    QueryField("seed", integer, default=0, help="seed of the generated input"),
+    QueryField(
+        "counting",
+        boolean,
+        default=None,
+        help="payload-free counting machine: identical costs, much faster "
+        "simulation, no output verification",
+    ),
 )
 
 
@@ -122,7 +141,7 @@ class WorkloadSpec:
         """JSON-able schema (the ``/workloads`` endpoint's payload)."""
         out: Dict[str, Any] = {"workload": self.name, "help": self.help, "fields": {}}
         for f in self.all_fields:
-            entry: Dict[str, Any] = {"required": f.required}
+            entry: Dict[str, Any] = {"required": f.required, "help": f.help}
             if not f.required and f.default is not None:
                 entry["default"] = f.default
             if f.choices is not None:
@@ -156,14 +175,21 @@ register_workload(
         name="sort",
         measure=measures.measure_sort,
         fields=(
-            QueryField("n", _coerce_int),
+            QueryField("n", integer, help="keys to sort"),
             QueryField(
                 "sorter",
-                _coerce_str,
+                string,
                 default="aem_mergesort",
                 choices=tuple(sorted(SORTERS)),
+                help="registered sorter",
             ),
-            QueryField("distribution", _coerce_str, default="uniform"),
+            QueryField(
+                "distribution",
+                string,
+                default="uniform",
+                choices=tuple(sorted(KEY_DISTRIBUTIONS)),
+                help="key distribution",
+            ),
         ),
         help="sort N keys with a registered sorter",
     )
@@ -174,14 +200,21 @@ register_workload(
         name="permute",
         measure=measures.measure_permute,
         fields=(
-            QueryField("n", _coerce_int),
+            QueryField("n", integer, help="atoms to permute"),
             QueryField(
                 "permuter",
-                _coerce_str,
+                string,
                 default="adaptive",
                 choices=tuple(sorted(PERMUTERS)),
+                help="registered permuter",
             ),
-            QueryField("family", _coerce_str, default="random"),
+            QueryField(
+                "family",
+                string,
+                default="random",
+                choices=tuple(sorted(PERMUTATION_FAMILIES)),
+                help="permutation family",
+            ),
         ),
         help="apply a permutation from a named family to N atoms",
     )
@@ -192,17 +225,24 @@ register_workload(
         name="spmxv",
         measure=measures.measure_spmxv,
         fields=(
-            QueryField("n", _coerce_int),
-            QueryField("delta", _coerce_int, default=4),
+            QueryField("n", integer, help="matrix dimension N"),
+            QueryField("delta", integer, default=4, help="nonzeros per column"),
             QueryField(
                 "algorithm",
-                _coerce_str,
+                string,
                 default="sort_based",
                 choices=("naive", "sort_based"),
+                help="SpMxV algorithm",
             ),
-            QueryField("family", _coerce_str, default="random"),
+            QueryField(
+                "family",
+                string,
+                default="random",
+                choices=tuple(sorted(CONFORMATION_FAMILIES)),
+                help="conformation family (where the nonzeros sit)",
+            ),
         ),
-        help="sparse-matrix dense-vector multiply (N x N, delta nnz/row)",
+        help="sparse-matrix dense-vector multiply (N x N, delta nnz/column)",
     )
 )
 
@@ -212,15 +252,21 @@ register_workload(
 #: identical between "omitted" and "explicitly derived" spellings only
 #: when the caller spells them the same way).
 _CORPUS_FIELDS: Tuple[QueryField, ...] = (
-    QueryField("n_docs", _coerce_int, default=None),
-    QueryField("n_terms", _coerce_int, default=None),
-    QueryField("zipf_a", _coerce_float, default=1.4),
-    QueryField("fanin", _coerce_int, default=None),
+    QueryField("n_docs", integer, default=None, help="documents (default n/8)"),
+    QueryField("n_terms", integer, default=None, help="terms (default n/16)"),
+    QueryField("zipf_a", number, default=1.4, help="zipf exponent for terms"),
+    QueryField(
+        "fanin",
+        integer,
+        default=None,
+        help="merge fan-in per layer (default and cap: omega*m)",
+    ),
     QueryField(
         "sorter",
-        _coerce_str,
+        string,
         default="aem_mergesort",
         choices=tuple(sorted(SORTERS)),
+        help="run-generation sorter",
     ),
 )
 
@@ -228,7 +274,8 @@ register_workload(
     WorkloadSpec(
         name="index_build",
         measure=search_measures.measure_index_build,
-        fields=(QueryField("n", _coerce_int),) + _CORPUS_FIELDS,
+        fields=(QueryField("n", integer, help="corpus postings"),)
+        + _CORPUS_FIELDS,
         help="build a blocked inverted index over an N-posting corpus",
     )
 )
@@ -238,11 +285,19 @@ register_workload(
         name="search_query",
         measure=search_measures.measure_search_query,
         fields=(
-            QueryField("n", _coerce_int),
-            QueryField("n_queries", _coerce_int, default=64),
-            QueryField("k", _coerce_int, default=8),
-            QueryField("mode", _coerce_str, default="and", choices=("and", "or")),
-            QueryField("terms_per_query", _coerce_int, default=2),
+            QueryField("n", integer, help="corpus postings"),
+            QueryField("n_queries", integer, default=64, help="queries to serve"),
+            QueryField("k", integer, default=8, help="results per query"),
+            QueryField(
+                "mode",
+                string,
+                default="and",
+                choices=("and", "or"),
+                help="match every query term (and) or any (or)",
+            ),
+            QueryField(
+                "terms_per_query", integer, default=2, help="terms per query"
+            ),
         )
         + _CORPUS_FIELDS,
         help="serve DAAT top-k queries over a freshly built index "

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Regenerate any experiment, run individual algorithms with cost readouts,
-or print the bound formulas for a parameter point::
+Regenerate any experiment, price one workload query with a cost readout,
+profile where its cost goes, or print the bound formulas for a point::
 
     repro-aem exp e1                  # one experiment (quick mode)
     repro-aem exp all --full          # the whole suite, full-size sweeps
@@ -9,13 +9,19 @@ or print the bound formulas for a parameter point::
     repro-aem sort --sorter aem_mergesort --n 8000 --m 128 --b 16 --omega 8
     repro-aem permute --permuter adaptive --n 4096 --m 64 --b 8 --omega 4
     repro-aem spmxv --algorithm sort_based --n 1024 --delta 4
+    repro-aem search_query --n 4000 --queries 64 --mode or
+    repro-aem profile index_build --n 2000 --sorter aem_heapsort
     repro-aem bounds --n 65536 --m 256 --b 16 --omega 8
 
-``exp``/``sort``/``permute``/``spmxv`` accept ``--json`` to emit
-machine-readable records on stdout instead of rendered tables, and the
-algorithm runners accept ``--progress`` for a live I/O/phase readout on
-stderr (a :class:`~repro.observe.ProgressObserver` on the machine's event
-bus).
+Every registered workload (:data:`repro.api.WORKLOADS`) is a runner
+subcommand of the same name, and ``profile <workload>`` takes the same
+flags: one per query field, generated from the field's type, default,
+choices and help, so a runner, its ``--help`` and the server's
+``/workloads`` schema agree by construction. ``index`` and ``search``
+are aliases of ``index_build`` and ``search_query``. The runners accept
+``--json`` to emit one machine-readable record on stdout (as does
+``exp``) and ``--progress`` for a live I/O/phase readout on stderr (a
+:class:`~repro.observe.ProgressObserver` on the machine's event bus).
 
 ``exp`` runs execute on the sweep engine (:mod:`repro.engine`):
 ``--jobs N`` fans measurements out over N worker processes with the record
@@ -25,12 +31,12 @@ so a repeated or killed-and-restarted run replays completed measurements
 instantly. Engine statistics (executed / cache hits / misses) are printed
 to stderr after the run.
 
-``--telemetry-dir DIR`` (on ``exp`` and the algorithm runners) turns a
+``--telemetry-dir DIR`` (on ``exp`` and the workload runners) turns a
 run into durable artifacts (:mod:`repro.telemetry`): one JSONL record
 appended to ``DIR/manifest.jsonl`` (config, costs, wall time, engine
 stats, package version) and a ``DIR/trace.json`` loadable in
 ``ui.perfetto.dev`` — machine phases as spans and I/O counter tracks for
-the algorithm runners, engine worker-lane task spans for ``exp``.
+the workload runners, engine worker-lane task spans for ``exp``.
 ``repro-aem bench`` runs the benchmark trajectory suite and gates wall
 times against the committed baseline (see ``docs/observability.md``).
 """
@@ -59,41 +65,75 @@ from .core.regimes import boundary_B, classify, min_branch
 from .engine import ExperimentConfig, default_cache_dir, use_engine
 from .experiments import REGISTRY, run_all, run_experiment
 from .permute.base import PERMUTERS
-from .sorting.base import SORTERS
+from .workloads.generators import PERMUTATION_FAMILIES
 
 from . import api
+from .api.registry import COMMON_FIELDS, MACHINE_FIELDS
+
+
+#: The per-workload data the registry does not carry. Older spellings
+#: stay as argparse aliases: subcommands by workload name, flags by query
+#: field name.
+_COMMAND_ALIASES = {"index_build": ("index",), "search_query": ("search",)}
+_FLAG_ALIASES = {"n_queries": ("--queries",), "terms_per_query": ("--terms",)}
+
+#: Default ``--n`` per runner subcommand (the registry requires ``n``); a
+#: workload missing here gets ``--n`` as a required flag.
+_DEFAULT_N = {
+    "sort": 8_000,
+    "permute": 4_096,
+    "spmxv": 1_024,
+    "index_build": 8_000,
+    "search_query": 4_000,
+}
+
+#: The paper's bound shapes a workload's record carries beside its cost.
+_SHAPES = {
+    "sort": {"shape_upper": sort_upper_shape},
+    "permute": {
+        "shape_naive": permute_naive_shape,
+        "shape_sort": sort_upper_shape,
+        "lower_bound_general": counting_lower_bound_general,
+    },
+}
 
 
 def _params(args) -> AEMParams:
     return AEMParams(M=args.m, B=args.b, omega=args.omega)
 
 
-def _add_machine_args(sub) -> None:
-    sub.add_argument("--m", type=int, default=128, help="internal memory M (atoms)")
-    sub.add_argument("--b", type=int, default=16, help="block size B (atoms)")
-    sub.add_argument("--omega", type=float, default=8, help="write/read cost ratio")
-    sub.add_argument("--seed", type=int, default=0)
+def _add_field_args(parser, fields, defaults: Optional[dict] = None) -> None:
+    """One flag per query field: ``--<name>`` (lowercased, ``_`` -> ``-``)
+    with the field's type, default, choices and help.
+
+    ``defaults`` overrides field defaults; a required field whose default
+    is ``None`` becomes a required flag. ``--counting`` is a switch, so a run
+    without it passes ``counting=False`` explicitly (the registry's
+    ``None`` default leaves the choice to the server).
+    """
+    defaults = defaults or {}
+    for f in fields:
+        flags = ("--" + f.name.lower().replace("_", "-"),) + _FLAG_ALIASES.get(
+            f.name, ()
+        )
+        if f.name == "counting":
+            parser.add_argument(*flags, action="store_true", help=f.help)
+            continue
+        default = defaults.get(f.name, None if f.required else f.default)
+        parser.add_argument(
+            *flags,
+            dest=f.name.lower(),
+            type=f.coerce,
+            default=default,
+            required=default is None and f.required,
+            choices=f.choices,
+            help=f.help,
+        )
 
 
-def _add_run_args(sub) -> None:
-    """Flags shared by the algorithm runners (sort/permute/spmxv)."""
-    sub.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one JSON record on stdout instead of the rendered readout",
-    )
-    sub.add_argument(
-        "--progress",
-        action="store_true",
-        help="live I/O/phase readout on stderr while the run executes",
-    )
-    sub.add_argument(
-        "--counting",
-        action="store_true",
-        help="payload-free counting machine: identical costs, much faster "
-        "simulation, no output verification",
-    )
-    _add_telemetry_arg(sub)
+def _add_machine_args(parser) -> None:
+    seed = [f for f in COMMON_FIELDS if f.name == "seed"]
+    _add_field_args(parser, MACHINE_FIELDS + tuple(seed))
 
 
 def _add_telemetry_arg(sub) -> None:
@@ -120,53 +160,6 @@ def _json_default(obj):
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, default=_json_default, sort_keys=True))
-
-
-def _run_observers(args) -> list:
-    """Observers requested on the command line (``--progress``)."""
-    if not getattr(args, "progress", False):
-        return []
-    from .observe import ProgressObserver
-
-    return [ProgressObserver(every=200, label=args.command)]
-
-
-def _close_observers(observers) -> None:
-    for obs in observers:
-        close = getattr(obs, "close", None)
-        if close is not None:
-            close()
-
-
-def _telemetry_observers(args) -> tuple[list, Optional[tuple]]:
-    """``(observers, (metrics, perfetto))`` for a --telemetry-dir run."""
-    if not getattr(args, "telemetry_dir", None):
-        return [], None
-    from .telemetry import MetricsObserver, PerfettoObserver
-
-    metrics = MetricsObserver()
-    perfetto = PerfettoObserver(label=args.command)
-    return [metrics, perfetto], (metrics, perfetto)
-
-
-def _finish_run_telemetry(args, tel, *, config: dict, cost, wall_s: float) -> None:
-    """Write the trace.json and append the manifest record for one run."""
-    if tel is None:
-        return
-    from .telemetry import append_record, run_record
-
-    metrics, perfetto = tel
-    perfetto.write(Path(args.telemetry_dir) / "trace.json")
-    append_record(
-        args.telemetry_dir,
-        run_record(
-            args.command,
-            config=config,
-            cost={**cost},
-            wall_s=wall_s,
-            metrics=metrics.summary(),
-        ),
-    )
 
 
 def _engine_summary(engine) -> dict:
@@ -254,370 +247,170 @@ def cmd_exp(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_sort(args) -> int:
-    p = _params(args)
-    observers = _run_observers(args)
-    tel_observers, tel = _telemetry_observers(args)
-    t0 = time.perf_counter()
-    rec = api.evaluate(
-        "sort",
-        sorter=args.sorter,
-        n=args.n,
-        M=p.M,
-        B=p.B,
-        omega=p.omega,
-        distribution=args.distribution,
-        seed=args.seed,
-        counting=args.counting,
-        observers=observers + tel_observers,
-    )
-    _close_observers(observers)
-    _finish_run_telemetry(
-        args,
-        tel,
-        config={
-            "sorter": args.sorter,
-            "n": args.n,
-            "distribution": args.distribution,
-            "seed": args.seed,
-            "counting": args.counting,
-            "params": {"M": p.M, "B": p.B, "omega": p.omega},
-        },
-        cost=rec,
-        wall_s=time.perf_counter() - t0,
-    )
-    if args.json:
-        _emit_json(
-            {
-                "command": "sort",
-                "sorter": args.sorter,
-                "n": args.n,
-                "distribution": args.distribution,
-                "seed": args.seed,
-                "counting": args.counting,
-                "params": {"M": p.M, "B": p.B, "omega": p.omega},
-                "shape_upper": sort_upper_shape(args.n, p),
-                **rec,
-            }
-        )
-        return 0
-    print(f"{args.sorter} on N={args.n} {args.distribution} keys, {p.describe()}")
-    print(
-        f"  Qr={rec['Qr']}  Qw={rec['Qw']}  Q={rec['Q']:g}  "
-        f"T={rec['T']}  peak-mem={rec['peak_mem']}"
-    )
-    print(f"  shape omega*n*log_(omega m) n = {sort_upper_shape(args.n, p):g}")
-    return 0
-
-
-def cmd_permute(args) -> int:
-    p = _params(args)
-    observers = _run_observers(args)
-    tel_observers, tel = _telemetry_observers(args)
-    t0 = time.perf_counter()
-    rec = api.evaluate(
-        "permute",
-        permuter=args.permuter,
-        n=args.n,
-        M=p.M,
-        B=p.B,
-        omega=p.omega,
-        family=args.family,
-        seed=args.seed,
-        counting=args.counting,
-        observers=observers + tel_observers,
-    )
-    _close_observers(observers)
-    _finish_run_telemetry(
-        args,
-        tel,
-        config={
-            "permuter": args.permuter,
-            "n": args.n,
-            "family": args.family,
-            "seed": args.seed,
-            "counting": args.counting,
-            "params": {"M": p.M, "B": p.B, "omega": p.omega},
-        },
-        cost=rec,
-        wall_s=time.perf_counter() - t0,
-    )
-    if args.json:
-        _emit_json(
-            {
-                "command": "permute",
-                "permuter": args.permuter,
-                "n": args.n,
-                "family": args.family,
-                "seed": args.seed,
-                "counting": args.counting,
-                "params": {"M": p.M, "B": p.B, "omega": p.omega},
-                "shape_naive": permute_naive_shape(args.n, p),
-                "shape_sort": sort_upper_shape(args.n, p),
-                "lower_bound_general": counting_lower_bound_general(args.n, p),
-                **rec,
-            }
-        )
-        return 0
-    print(
-        f"{args.permuter} permuting N={args.n} ({args.family}), {p.describe()}"
-    )
-    print(f"  Qr={rec['Qr']}  Qw={rec['Qw']}  Q={rec['Q']:g}")
-    print(
-        f"  upper shapes: naive={permute_naive_shape(args.n, p):g}  "
-        f"sort={sort_upper_shape(args.n, p):g}"
-    )
-    print(f"  lower bound (general) = {counting_lower_bound_general(args.n, p):g}")
-    return 0
-
-
-def cmd_spmxv(args) -> int:
-    p = _params(args)
-    observers = _run_observers(args)
-    tel_observers, tel = _telemetry_observers(args)
-    t0 = time.perf_counter()
-    rec = api.evaluate(
-        "spmxv",
-        algorithm=args.algorithm,
-        n=args.n,
-        delta=args.delta,
-        M=p.M,
-        B=p.B,
-        omega=p.omega,
-        family=args.family,
-        seed=args.seed,
-        counting=args.counting,
-        observers=observers + tel_observers,
-    )
-    _close_observers(observers)
-    _finish_run_telemetry(
-        args,
-        tel,
-        config={
-            "algorithm": args.algorithm,
-            "n": args.n,
-            "delta": args.delta,
-            "family": args.family,
-            "seed": args.seed,
-            "counting": args.counting,
-            "params": {"M": p.M, "B": p.B, "omega": p.omega},
-        },
-        cost=rec,
-        wall_s=time.perf_counter() - t0,
-    )
-    if args.json:
-        _emit_json(
-            {
-                "command": "spmxv",
-                "algorithm": args.algorithm,
-                "n": args.n,
-                "delta": args.delta,
-                "family": args.family,
-                "seed": args.seed,
-                "counting": args.counting,
-                "params": {"M": p.M, "B": p.B, "omega": p.omega},
-                **rec,
-            }
-        )
-        return 0
-    print(
-        f"spmxv {args.algorithm}: N={args.n}, delta={args.delta} "
-        f"({args.family}), {p.describe()}"
-    )
-    print(f"  Qr={rec['Qr']}  Qw={rec['Qw']}  Q={rec['Q']:g}")
-    return 0
-
-
-def _corpus_query_fields(args) -> dict:
-    """The optional corpus-shape fields, omitted when left at None so the
-    registry's derived defaults (and cache identity) apply."""
-    out = {"zipf_a": args.zipf_a, "sorter": args.sorter}
-    for name in ("n_docs", "n_terms", "fanin"):
-        value = getattr(args, name)
+def _query(spec, args) -> dict:
+    """The flat query a workload command's flags spell. Optional fields
+    left at ``None`` stay out, so the registry's derived defaults (and
+    cache identity) apply."""
+    query = {"workload": spec.name}
+    for f in spec.all_fields:
+        value = getattr(args, f.name.lower())
         if value is not None:
-            out[name] = value
-    return out
+            query[f.name] = value
+    return query
 
 
-def cmd_index(args) -> int:
-    p = _params(args)
-    observers = _run_observers(args)
-    tel_observers, tel = _telemetry_observers(args)
-    extra = _corpus_query_fields(args)
+def cmd_workload(args) -> int:
+    """Price one registered workload query with a cost readout."""
+    spec = api.WORKLOADS[args.workload]
+    query = _query(spec, args)
+    p = api.normalize(query)[1]["params"]
+    progress, tel = [], []
+    if args.progress:
+        from .observe import ProgressObserver
+
+        progress = [ProgressObserver(every=200, label=args.command)]
+    if args.telemetry_dir:
+        from .telemetry import MetricsObserver, PerfettoObserver
+
+        tel = [MetricsObserver(), PerfettoObserver(label=args.command)]
     t0 = time.perf_counter()
-    rec = api.evaluate(
-        "index_build",
-        n=args.n,
-        M=p.M,
-        B=p.B,
-        omega=p.omega,
-        seed=args.seed,
-        counting=args.counting,
-        observers=observers + tel_observers,
-        **extra,
-    )
-    _close_observers(observers)
-    config = {
-        "n": args.n,
-        **extra,
-        "seed": args.seed,
-        "counting": args.counting,
-        "params": {"M": p.M, "B": p.B, "omega": p.omega},
+    rec = api.evaluate(spec.name, query, observers=progress + tel)
+    for obs in progress:
+        obs.close()
+    fields = {
+        k: v for k, v in query.items() if k not in ("workload", "M", "B", "omega")
     }
-    _finish_run_telemetry(
-        args, tel, config=config, cost=rec, wall_s=time.perf_counter() - t0
-    )
+    config = {**fields, "params": {"M": p.M, "B": p.B, "omega": p.omega}}
+    if tel:
+        from .telemetry import append_record, run_record
+
+        metrics, perfetto = tel
+        perfetto.write(Path(args.telemetry_dir) / "trace.json")
+        append_record(
+            args.telemetry_dir,
+            run_record(
+                args.command,
+                config=config,
+                cost={**rec},
+                wall_s=time.perf_counter() - t0,
+                metrics=metrics.summary(),
+            ),
+        )
+    shapes = {
+        name: shape(query["n"], p) for name, shape in _SHAPES.get(spec.name, {}).items()
+    }
     if args.json:
-        _emit_json({"command": "index", **config, **rec})
+        _emit_json({"command": args.command, **config, **shapes, **rec})
         return 0
-    print(f"index build over N={args.n} postings, {p.describe()}")
+    print(f"{args.command}: {spec.help}")
+    print("  " + "  ".join(f"{k}={v}" for k, v in fields.items()))
+    print(f"  on {p.describe()}")
     print(
         f"  Qr={rec['Qr']}  Qw={rec['Qw']}  Q={rec['Q']:g}  "
         f"T={rec['T']}  peak-mem={rec['peak_mem']}"
     )
+    for name, value in shapes.items():
+        print(f"  {name.replace('_', ' ')} = {value:g}")
     return 0
 
 
-def cmd_search(args) -> int:
-    p = _params(args)
-    observers = _run_observers(args)
-    tel_observers, tel = _telemetry_observers(args)
-    extra = _corpus_query_fields(args)
-    t0 = time.perf_counter()
-    rec = api.evaluate(
-        "search_query",
-        n=args.n,
-        n_queries=args.queries,
-        k=args.k,
-        mode=args.mode,
-        terms_per_query=args.terms,
-        M=p.M,
-        B=p.B,
-        omega=p.omega,
-        seed=args.seed,
-        counting=args.counting,
-        observers=observers + tel_observers,
-        **extra,
-    )
-    _close_observers(observers)
-    config = {
-        "n": args.n,
-        "n_queries": args.queries,
-        "k": args.k,
-        "mode": args.mode,
-        "terms_per_query": args.terms,
-        **extra,
-        "seed": args.seed,
-        "counting": args.counting,
-        "params": {"M": p.M, "B": p.B, "omega": p.omega},
-    }
-    _finish_run_telemetry(
-        args, tel, config=config, cost=rec, wall_s=time.perf_counter() - t0
-    )
-    if args.json:
-        _emit_json({"command": "search", **config, **rec})
-        return 0
-    print(
-        f"search: {args.queries} {args.mode}-mode top-{args.k} queries over "
-        f"an N={args.n} index, {p.describe()}"
-    )
-    print(
-        f"  query phase only: Qr={rec['Qr']}  Qw={rec['Qw']}  Q={rec['Q']:g}  "
-        f"T={rec['T']}"
-    )
-    return 0
+def build_profile_parser(target: str) -> argparse.ArgumentParser:
+    """The flags ``repro-aem profile <target>`` takes after its target.
 
+    A workload target takes exactly its registry fields (``--n``
+    defaulting to 4096); an experiment target takes ``--full`` and
+    ``--counting``. Both take the export flags.
+    """
+    from .telemetry.profile import WEIGHTS
 
-def _profile_query(args) -> dict:
-    """The workload query dict a ``profile <workload>`` target prices."""
-    p = _params(args)
-    base = {
-        "n": args.n,
-        "M": p.M,
-        "B": p.B,
-        "omega": p.omega,
-        "seed": args.seed,
-        "counting": args.counting,
-    }
-    if args.target == "sort":
-        return {**base, "sorter": args.sorter, "distribution": args.distribution}
-    if args.target == "permute":
-        return {**base, "permuter": args.permuter, "family": args.family}
-    if args.target == "spmxv":
-        return {**base, "algorithm": args.algorithm, "delta": args.delta,
-                "family": args.family}
-    return base
+    parser = argparse.ArgumentParser(prog=f"repro-aem profile {target}")
+    parser.add_argument(
+        "--weight",
+        choices=WEIGHTS,
+        default="q",
+        help="attribution weight: q (asymmetric cost), qw/qr (write/read "
+        "I/Os), io (total I/Os)",
+    )
+    parser.add_argument("--top", type=int, default=20, help="paths shown in the table")
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="DIR",
+        help="write profile.folded and profile.speedscope.json here",
+    )
+    if target in api.WORKLOADS:
+        _add_field_args(parser, api.WORKLOADS[target].all_fields, {"n": 4_096})
+    else:
+        parser.add_argument("--full", action="store_true", help="full-size sweeps")
+        parser.add_argument(
+            "--counting",
+            action="store_true",
+            help="profile on payload-free counting machines (identical costs)",
+        )
+    return parser
 
 
 def cmd_profile(args) -> int:
     """Attribute I/O cost to nested phase paths; see docs/observability.md.
 
-    The target is either a workload name (one profiled evaluation) or an
-    experiment id (every profilable measurement in the run, merged per
-    task label). Conservation — attributed totals == the cost ledger —
-    is checked in-command and is a hard failure, so CI can assert it by
-    exit code alone.
+    The target is either a registered workload (one profiled evaluation)
+    or an experiment id (every profilable measurement in the run, merged
+    per task label). Conservation — attributed totals == the ledgers of
+    the machines the profiler watched — is checked in-command and is a
+    hard failure, so CI can assert it by exit code alone.
     """
     from .telemetry import CostProfiler, folded, merge_paths, render_table, speedscope
 
-    if args.target in api.workload_names():
-        profiler = CostProfiler(root=args.target, track_blocks=True)
-        rec = api.evaluate(args.target, _profile_query(args), observers=[profiler])
-        paths = profiler.paths()
-        root = args.target
-        errors = [
-            f"{args.target}: {e}" for e in profiler.conservation_errors(rec)
-        ]
-    elif args.target in REGISTRY:
-        config = ExperimentConfig(
-            budget="full" if args.full else "quick",
-            cache=False,
-            counting=args.counting,
-            profile=True,
-        )
-        engine = config.make_engine()
-        with use_engine(engine):
-            run_experiment(args.target, config)
-        if not engine.profiles:
-            print(
-                f"profile: experiment {args.target!r} ran no profilable "
-                "measurements (none accept observers)",
-                file=sys.stderr,
-            )
-            return 1
-        errors = []
-        for entry in engine.profiles:
-            ledger = entry.result
-            if isinstance(ledger, dict) or hasattr(ledger, "keys"):
-                errors.extend(
-                    f"{entry.label}: {e}"
-                    for e in entry.profiler.conservation_errors(ledger)
-                )
-        paths = merge_paths(
-            (entry.label, entry.profiler.paths()) for entry in engine.profiles
-        )
-        root = args.target
-    else:
-        known = sorted(api.workload_names()) + sorted(REGISTRY)
+    root = args.target
+    if root not in api.WORKLOADS and root not in REGISTRY:
+        known = api.workload_names() + sorted(REGISTRY)
         print(
-            f"profile: unknown target {args.target!r} "
+            f"profile: unknown target {root!r} "
             f"(expected a workload or experiment id from {known})",
             file=sys.stderr,
         )
         return 2
-
-    print(render_table(paths, weight=args.weight, top=args.top, root=root))
+    opts = build_profile_parser(root).parse_args(args.flags)
+    if root in api.WORKLOADS:
+        profiler = CostProfiler(root=root, track_blocks=True)
+        query = _query(api.WORKLOADS[root], opts)
+        api.evaluate(root, query, observers=[profiler])
+        profiles = [(root, profiler)]
+        paths = profiler.paths()
+    else:
+        config = ExperimentConfig(
+            budget="full" if opts.full else "quick",
+            cache=False,
+            counting=opts.counting,
+            profile=True,
+        )
+        engine = config.make_engine()
+        with use_engine(engine):
+            run_experiment(root, config)
+        if not engine.profiles:
+            print(
+                f"profile: experiment {root!r} ran no profilable "
+                "measurements (none accept observers)",
+                file=sys.stderr,
+            )
+            return 1
+        profiles = [(entry.label, entry.profiler) for entry in engine.profiles]
+        paths = merge_paths((label, prof.paths()) for label, prof in profiles)
+    errors = [
+        f"{label}: {e}" for label, prof in profiles for e in prof.conservation_errors()
+    ]
+    print(render_table(paths, weight=opts.weight, top=opts.top, root=root))
     depth = max((len(p) for p in paths), default=0)
-    total = sum(stats.weight(args.weight) for stats in paths.values())
-    print(f"total {args.weight} = {total:g} over {len(paths)} path(s), max depth {depth}")
-    if args.out:
-        out = Path(args.out)
+    total = sum(stats.weight(opts.weight) for stats in paths.values())
+    print(f"total {opts.weight} = {total:g} over {len(paths)} path(s), max depth {depth}")
+    if opts.out:
+        out = Path(opts.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "profile.folded").write_text(
-            folded(paths, weight=args.weight, root=root)
+            folded(paths, weight=opts.weight, root=root)
         )
         (out / "profile.speedscope.json").write_text(
-            json.dumps(speedscope(paths, weight=args.weight, root=root),
+            json.dumps(speedscope(paths, weight=opts.weight, root=root),
                        sort_keys=True)
         )
         print(f"wrote {out / 'profile.folded'} and {out / 'profile.speedscope.json'}")
@@ -905,121 +698,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arg(exp)
     exp.set_defaults(fn=cmd_exp)
 
-    srt = sub.add_parser("sort", help="run one sorter with cost readout")
-    srt.add_argument("--sorter", choices=sorted(SORTERS), default="aem_mergesort")
-    srt.add_argument("--n", type=int, default=8_000)
-    srt.add_argument("--distribution", default="uniform")
-    _add_machine_args(srt)
-    _add_run_args(srt)
-    srt.set_defaults(fn=cmd_sort)
-
-    per = sub.add_parser("permute", help="run one permuter with cost readout")
-    per.add_argument("--permuter", choices=sorted(PERMUTERS), default="adaptive")
-    per.add_argument("--n", type=int, default=4_096)
-    per.add_argument("--family", default="random")
-    _add_machine_args(per)
-    _add_run_args(per)
-    per.set_defaults(fn=cmd_permute)
-
-    sp = sub.add_parser("spmxv", help="run one SpMxV algorithm")
-    sp.add_argument("--algorithm", choices=["naive", "sort_based"], default="sort_based")
-    sp.add_argument("--n", type=int, default=1_024)
-    sp.add_argument("--delta", type=int, default=4)
-    sp.add_argument("--family", default="random")
-    _add_machine_args(sp)
-    _add_run_args(sp)
-    sp.set_defaults(fn=cmd_spmxv)
-
-    def _add_corpus_args(parser) -> None:
-        parser.add_argument(
-            "--n-docs", type=int, default=None, help="documents (default n/8)"
+    for name in api.workload_names():
+        spec = api.WORKLOADS[name]
+        run = sub.add_parser(
+            name, aliases=_COMMAND_ALIASES.get(name, ()), help=spec.help
         )
-        parser.add_argument(
-            "--n-terms", type=int, default=None, help="terms (default n/16)"
+        _add_field_args(run, spec.all_fields, {"n": _DEFAULT_N.get(name)})
+        run.add_argument(
+            "--json",
+            action="store_true",
+            help="emit one JSON record on stdout instead of the rendered readout",
         )
-        parser.add_argument(
-            "--zipf-a", type=float, default=1.4, help="zipf exponent for terms"
+        run.add_argument(
+            "--progress",
+            action="store_true",
+            help="live I/O/phase readout on stderr while the run executes",
         )
-        parser.add_argument(
-            "--fanin",
-            type=int,
-            default=None,
-            help="merge fan-in per layer (default and cap: omega*m)",
-        )
-        parser.add_argument(
-            "--sorter",
-            choices=sorted(SORTERS),
-            default="aem_mergesort",
-            help="run-generation sorter",
-        )
-
-    idx = sub.add_parser(
-        "index", help="build a blocked inverted index over a synthetic corpus"
-    )
-    idx.add_argument("--n", type=int, default=8_000, help="corpus postings")
-    _add_corpus_args(idx)
-    _add_machine_args(idx)
-    _add_run_args(idx)
-    idx.set_defaults(fn=cmd_index)
-
-    sch = sub.add_parser(
-        "search", help="serve DAAT top-k queries (prices the query phase only)"
-    )
-    sch.add_argument("--n", type=int, default=4_000, help="corpus postings")
-    sch.add_argument("--queries", type=int, default=64, help="queries to serve")
-    sch.add_argument("--k", type=int, default=8, help="results per query")
-    sch.add_argument("--mode", choices=["and", "or"], default="and")
-    sch.add_argument("--terms", type=int, default=2, help="terms per query")
-    _add_corpus_args(sch)
-    _add_machine_args(sch)
-    _add_run_args(sch)
-    sch.set_defaults(fn=cmd_search)
-
-    from .telemetry.profile import WEIGHTS
+        _add_telemetry_arg(run)
+        run.set_defaults(fn=cmd_workload, workload=name)
 
     pf = sub.add_parser(
         "profile",
         help="attribute I/O cost (Qr/Qw/Q) to nested phase paths and "
         "export folded-stack + speedscope profiles",
     )
+    pf.add_argument("target", help="a registered workload or an experiment id")
     pf.add_argument(
-        "target",
-        help="a workload name (sort/permute/spmxv) or an experiment id",
+        "flags",
+        nargs=argparse.REMAINDER,
+        help="the target's flags: a workload's own fields plus --weight, "
+        "--top and --out (see `profile <target> --help`)",
     )
-    pf.add_argument(
-        "--weight",
-        choices=WEIGHTS,
-        default="q",
-        help="attribution weight: q (asymmetric cost), qw/qr (write/read "
-        "I/Os), io (total I/Os)",
-    )
-    pf.add_argument(
-        "--top", type=int, default=20, help="paths shown in the table"
-    )
-    pf.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="write profile.folded and profile.speedscope.json here",
-    )
-    pf.add_argument("--sorter", choices=sorted(SORTERS), default="aem_mergesort")
-    pf.add_argument("--permuter", choices=sorted(PERMUTERS), default="adaptive")
-    pf.add_argument(
-        "--algorithm", choices=["naive", "sort_based"], default="sort_based"
-    )
-    pf.add_argument("--n", type=int, default=4_096)
-    pf.add_argument("--delta", type=int, default=4)
-    pf.add_argument("--distribution", default="uniform")
-    pf.add_argument("--family", default="random")
-    pf.add_argument(
-        "--full", action="store_true", help="full-size sweeps (experiment targets)"
-    )
-    pf.add_argument(
-        "--counting",
-        action="store_true",
-        help="profile on payload-free counting machines (identical costs)",
-    )
-    _add_machine_args(pf)
     pf.set_defaults(fn=cmd_profile)
 
     chk = sub.add_parser(
@@ -1078,7 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ins.add_argument("--permuter", choices=sorted(PERMUTERS), default="naive")
     ins.add_argument("--n", type=int, default=512)
-    ins.add_argument("--family", default="random")
+    ins.add_argument(
+        "--family", choices=sorted(PERMUTATION_FAMILIES), default="random"
+    )
     ins.add_argument("--ops", type=int, default=40, help="timeline ops to show")
     ins.add_argument(
         "--round-based",
@@ -1206,6 +917,11 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("repro-aem: interrupted", file=sys.stderr)
         return 130
+    except api.QueryError as exc:
+        # Bad flag values the registry rejects are usage errors, like
+        # argparse's own: a message and exit 2, no traceback.
+        print(f"repro-aem: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # A run that raises — in-process or inside an engine worker — must
         # exit non-zero, not crash with a traceback on one path and return

@@ -13,9 +13,10 @@ unchanged.
 
 The cardinal invariant is **conservation**: summed over all paths, the
 attributed Qr / Qw / Q / T equal the machine's own cost ledger — checked
-by :meth:`CostProfiler.conservation_errors` the same way
-:class:`~repro.sanitize.cost.CostSanitizer` reconciles recomputed costs
-against the ledger.
+by :meth:`CostProfiler.conservation_errors` (by default against the
+:class:`~repro.observe.CostObserver` of every machine the profiler was
+attached to) the same way :class:`~repro.sanitize.cost.CostSanitizer`
+reconciles recomputed costs against the ledger.
 
 Exports:
 
@@ -35,8 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+from ..machine.cost import CostRecord
 from ..observe.base import MachineObserver
 from ..observe.batch import KIND_READ, KIND_WRITE
+from ..observe.cost import CostObserver
 from ..observe.phases import PhaseStack
 
 #: Selectable attribution weights: name -> PathStats accessor.
@@ -130,12 +133,14 @@ class CostProfiler(MachineObserver):
         self._paths: Dict[Tuple[str, ...], list] = {}
         self._blocks: Dict[Tuple[str, ...], set] = {}
         self._core = None
+        self._cores: list = []  # every core attached to: the default ledger
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
     def on_attach(self, core) -> None:
         self._core = core
+        self._cores.append(core)
 
     def on_detach(self, core) -> None:
         self._core = None
@@ -225,15 +230,41 @@ class CostProfiler(MachineObserver):
             total = total.merged(stats)
         return total
 
-    def conservation_errors(self, ledger: Mapping) -> list[str]:
+    def ledger(self) -> CostRecord:
+        """The machine-side ledger: the :class:`~repro.observe.CostObserver`
+        snapshots of every machine this profiler was attached to, summed.
+
+        This, not a measurement's returned record, is what the profiler
+        saw: a record may price a sub-range of the run (``search_query``
+        prices its query phase only).
+        """
+        # [:1]: the machine's own ledger, the first observer it attaches.
+        snaps = [
+            obs.snapshot()
+            for core in self._cores
+            for obs in core.find(CostObserver)[:1]
+        ]
+        return CostRecord(
+            Q=sum(s.Q for s in snaps),
+            Qr=sum(s.reads for s in snaps),
+            Qw=sum(s.writes for s in snaps),
+            T=sum(s.touches for s in snaps),
+            peak_mem=max((core.mem.peak for core in self._cores), default=0),
+        )
+
+    def conservation_errors(self, ledger: Optional[Mapping] = None) -> list[str]:
         """Reconcile attributed totals against a cost ledger.
 
-        ``ledger`` is anything Mapping-shaped with the ledger keys — a
+        ``ledger`` defaults to :meth:`ledger`; an explicit one is anything
+        Mapping-shaped with the ledger keys — a
         :class:`~repro.machine.cost.CostRecord`, a ``CostObserver``
         snapshot dict, or a plain dict. Returns human-readable mismatch
         descriptions (empty == conserved), mirroring how the cost
         sanitizer reconciles recomputed costs.
         """
+        if ledger is None:
+            ledger = self.ledger()
+
         def lookup(key: str):
             # CostRecord is Mapping-shaped but has no .get; plain dicts do.
             try:

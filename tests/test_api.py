@@ -78,6 +78,15 @@ class TestNormalize:
             normalize({"workload": "sort", "n": 10, "sorter": "quicksort"})
 
     @pytest.mark.parametrize(
+        "workload,field",
+        [("sort", "distribution"), ("permute", "family"), ("spmxv", "family")],
+    )
+    def test_unknown_generator_name_rejected(self, workload, field):
+        # Admission-time, so a served batch never runs (and fails on) it.
+        with pytest.raises(api.QueryError, match=f"'{field}' must be one of"):
+            normalize({"workload": workload, "n": 64, field: "bogus"})
+
+    @pytest.mark.parametrize(
         "field,value",
         [("n", True), ("n", 10.5), ("n", "ten"), ("counting", 1), ("omega", "x")],
     )
@@ -103,6 +112,11 @@ class TestNormalize:
         assert desc["sort"]["fields"]["sorter"]["default"] == "aem_mergesort"
         json.dumps(desc)  # must not raise
 
+    def test_every_field_carries_help(self):
+        for schema in api.describe_workloads().values():
+            for name, entry in schema["fields"].items():
+                assert entry["help"], f"{schema['workload']}.{name} has no help"
+
 
 # ----------------------------------------------------------------------
 # Query keys — the shared dedup/cache identity.
@@ -123,6 +137,28 @@ class TestQueryKey:
             }
         )
         assert implicit == explicit
+
+    @pytest.mark.parametrize(
+        "query,key",
+        [
+            ({"workload": "sort", "n": 8000},
+             "c3743a8147c6355ba9b32204b8d1e25d2d07b64e8ed27f64e959f7c4788a863b"),
+            ({"workload": "permute", "n": 4096, "family": "random"},
+             "de8e61be9e494403b7aea9ad73b6008034baec0c625ebcd748c382714b9e8a89"),
+            ({"workload": "spmxv", "n": 1024, "delta": 3, "algorithm": "naive"},
+             "371795ffeabd831d8fa7f02878142e076c4c3486da8632305df13a3055893377"),
+            ({"workload": "index_build", "n": 2000, "fanin": 4},
+             "0cfd36c190fb16d00b326c012f9ab85c6276cd7ca3f72114a11a4fb209c01f12"),
+            ({"workload": "search_query", "n": 1500, "n_queries": 20,
+              "mode": "or", "n_docs": 100},
+             "bc1dee1dace1e21fc003aa7f32c5d41c56980c8404306eb225df85bc776bf8d9"),
+        ],
+    )
+    def test_keys_are_pinned(self, query, key):
+        """Cache and dedup identity: a schema refactor must not move a
+        valid query's key. The key hashes the package version too, so a
+        version bump re-pins these."""
+        assert api.query_key(query) == key
 
     def test_field_order_is_irrelevant(self):
         a = api.query_key({"workload": "sort", "n": 800, "seed": 3})

@@ -1,10 +1,14 @@
 """CLI smoke tests (argument wiring and output sanity)."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import api
+from repro.api.registry import WORKLOADS, QueryField, WorkloadSpec, integer
+from repro.cli import build_parser, build_profile_parser, main
+from repro.machine.cost import CostRecord
 
 
 class TestParser:
@@ -30,6 +34,98 @@ class TestParser:
     def test_sort_defaults(self):
         args = build_parser().parse_args(["sort"])
         assert args.sorter == "aem_mergesort" and args.m == 128
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sub.choices[name]
+
+
+def _field_actions(parser, skip) -> dict:
+    """The parser's flags by dest, minus the ones in ``skip``."""
+    return {a.dest: a for a in parser._actions if a.dest not in {"help", *skip}}
+
+
+class TestRegistryDrivenCommands:
+    """Runner subcommands and ``profile`` targets mirror ``/workloads``."""
+
+    def _assert_mirrors_schema(self, actions: dict, name: str) -> None:
+        schema = api.WORKLOADS[name].describe()["fields"]
+        assert set(actions) == {field.lower() for field in schema}
+        for field, entry in schema.items():
+            action = actions[field.lower()]
+            assert action.option_strings[0] == "--" + field.lower().replace("_", "-")
+            assert action.help == entry["help"] and entry["help"]
+            assert list(action.choices or []) == entry.get("choices", [])
+            if field != "n" and "default" in entry:
+                assert action.default == entry["default"]
+
+    @pytest.mark.parametrize("name", api.workload_names())
+    def test_subcommand_flags_match_schema(self, name):
+        actions = _field_actions(
+            _subcommand(name), skip={"json", "progress", "telemetry_dir"}
+        )
+        self._assert_mirrors_schema(actions, name)
+
+    @pytest.mark.parametrize("name", api.workload_names())
+    def test_profile_target_flags_match_schema(self, name):
+        parser = build_profile_parser(name)
+        actions = _field_actions(parser, skip={"weight", "top", "out"})
+        self._assert_mirrors_schema(actions, name)
+        assert parser.parse_args([]).n == 4096
+
+    def test_new_workload_gets_a_subcommand(self, monkeypatch, capsys):
+        def measure_toy(N, params, *, width=3, seed=0, counting=False):
+            return CostRecord(Q=N * width, Qr=N, Qw=0, T=0, peak_mem=0)
+
+        monkeypatch.setitem(
+            WORKLOADS,
+            "toy",
+            WorkloadSpec(
+                name="toy",
+                measure=measure_toy,
+                fields=(
+                    QueryField("n", integer, help="items"),
+                    QueryField("width", integer, default=3, help="item width"),
+                ),
+                help="a throwaway workload",
+            ),
+        )
+        with pytest.raises(SystemExit):  # no default n: --n is required
+            build_parser().parse_args(["toy"])
+        assert main(["toy", "--n", "5", "--width", "2", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["command"] == "toy" and rec["width"] == 2
+        assert rec["Q"] == 10 and rec["counting"] is False
+        assert main(["toy", "--n", "5"]) == 0
+        assert "a throwaway workload" in capsys.readouterr().out
+
+    def test_aliases_keep_the_typed_name(self, capsys):
+        args = build_parser().parse_args(["search", "--queries", "5", "--terms", "3"])
+        assert (args.command, args.workload) == ("search", "search_query")
+        assert (args.n_queries, args.terms_per_query) == (5, 3)
+        assert main(["index", "--n", "500", "--counting", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["command"] == "index" and rec["counting"] is True
+
+    def test_bad_machine_parameters_are_a_usage_error(self, capsys):
+        assert main(["sort", "--n", "100", "--m", "4", "--b", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-aem: error: bad machine parameters")
+        assert "Traceback" not in err
+
+    def test_unknown_distribution_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sort", "--distribution", "bogus"])
+        assert exc.value.code == 2
+        assert "--distribution" in capsys.readouterr().err
+
+    def test_inspect_family_has_choices(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["inspect", "--family", "bogus"])
 
 
 class TestCommands:

@@ -122,6 +122,19 @@ class TestConservation:
         for stats in prof.paths().values():
             assert stats.blocks <= stats.io
 
+    def test_default_ledger_is_the_machine_ledger(self):
+        """Without an argument, conservation reconciles against the
+        ledgers of the machines the profiler watched."""
+        prof, rec = _profiled("sort", _query("sort", "aem_mergesort"))
+        assert prof.ledger() == rec
+        assert prof.conservation_errors() == []
+        # search_query's record prices the query phase only; the machine
+        # also ran the index build the profiler attributed.
+        prof, rec = _profiled("search_query", {"n": 600, "n_queries": 8})
+        assert prof.conservation_errors() == []
+        assert prof.ledger()["Qr"] > rec["Qr"] and prof.ledger()["Qw"] > 0
+        assert prof.conservation_errors(rec) != []
+
     def test_conservation_mismatch_is_reported(self):
         prof, rec = _profiled("sort", _query("sort", "aem_mergesort"))
         doctored = {**rec, "Qr": rec["Qr"] + 1}
@@ -271,6 +284,39 @@ class TestProfileCli:
                    "--omega", "4", "--weight", weight, "--counting"])
         assert rc == 0
         assert f"%{weight}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search_query", "--n", "1500", "--k", "4", "--mode", "or"],
+            ["e19"],
+        ],
+    )
+    def test_search_targets_conserve(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(["profile", *argv, "--top", "3"]) == 0
+        assert "FAILED" not in capsys.readouterr().err
+
+    def test_workload_flags_reach_the_query(self, capsys):
+        from repro.cli import main
+
+        machine = {"n": 2000, "M": 64, "B": 8, "omega": 4}
+        assert main(["profile", "index_build", "--n", "2000", "--m", "64",
+                     "--b", "8", "--omega", "4", "--sorter", "aem_heapsort"]) == 0
+        out = capsys.readouterr().out
+        heap, _ = _profiled("index_build", {**machine, "sorter": "aem_heapsort"})
+        merge, _ = _profiled("index_build", machine)
+        assert heap.totals().q != merge.totals().q
+        assert f"total q = {heap.totals().q:g} " in out
+
+    def test_flag_the_target_does_not_take_exits_2(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "sort", "--delta", "3"])
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
 
     def test_unknown_target_fails(self, capsys):
         from repro.cli import main

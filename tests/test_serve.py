@@ -192,6 +192,16 @@ class TestDedupAndBatching:
             assert stats["requests"]["batches"] < len(queries)
             assert stats["engine"]["executed"] == len(queries)
 
+    def test_bad_generator_name_cannot_fail_its_batch(self):
+        # An unknown distribution is a 400 at admission; it never joins
+        # (and so never fails) the batch its neighbour runs in.
+        with ServerThread(serve_config(batch_window=0.2)) as srv:
+            queries = [{**QUERY, "distribution": "bogus"}, QUERY]
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
+                responses = list(pool.map(lambda q: srv.post("/evaluate", q), queries))
+            assert [r.status for r in responses] == [400, 200]
+            assert "'distribution' must be one of" in responses[0].json()["error"]
+
     def test_multi_query_request_keeps_order(self, server):
         queries = [
             {**QUERY, "n": 128},
