@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-from ..atoms.atom import Atom, is_sorted, same_atom_multiset
+from ..atoms.atom import Atom
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
 from .em_mergesort import em_mergesort
@@ -43,11 +43,12 @@ SORTERS: Dict[str, Sorter] = {
     "pointer_mergesort": pointer_mergesort,
 }
 
-#: Sorters ported to the counting fast path (they branch on
-#: ``machine.counting`` internally and make bit-identical scheduling
-#: decisions on tokens). The rest silently run on a full machine when
-#: counting is requested — their costs are identical, just slower to
-#: simulate.
+#: Sorters ported to the counting fast path: on a counting machine they
+#: read only scheduling tokens and make bit-identical decisions on them.
+#: The merge and the base case run one kernel on both machine modes and
+#: read ``machine.counting`` only to choose the sort key. The rest
+#: silently run on a full machine when counting is requested — their
+#: costs are identical, just slower to simulate.
 #:
 #: This allow-list is cross-checked by static analysis: rule AEM202
 #: (``repro.sanitize.analysis``) infers which sorters can reach a
@@ -69,22 +70,23 @@ def verify_sorted_output(
 ) -> list[Atom]:
     """Check sortedness and atom-multiset preservation; returns the output.
 
-    Raises :class:`SortVerificationError` with a pinpointed message on any
-    violation. Inspection is cost-free by design.
+    One comparison decides both: the output's ``(key, uid)`` tokens must
+    equal the sorted input tokens. Raises :class:`SortVerificationError`
+    with a pinpointed message on any violation. Inspection is cost-free
+    by design.
     """
     out = machine.collect_output(output_addrs)
     if len(out) != len(input_atoms):
         raise SortVerificationError(
             f"output holds {len(out)} atoms, input had {len(input_atoms)}"
         )
-    if not is_sorted(out):
-        bad = next(
-            i for i in range(len(out) - 1) if not out[i] <= out[i + 1]
-        )
-        raise SortVerificationError(
-            f"output not sorted at position {bad}: {out[bad]!r} > {out[bad + 1]!r}"
-        )
-    if not same_atom_multiset(input_atoms, out):
+    got = list(map(Atom.sort_token, out))
+    if got != sorted(map(Atom.sort_token, input_atoms)):
+        bad = next((i for i in range(len(got) - 1) if got[i] > got[i + 1]), None)
+        if bad is not None:
+            raise SortVerificationError(
+                f"output not sorted at position {bad}: {out[bad]!r} > {out[bad + 1]!r}"
+            )
         raise SortVerificationError(
             "output atoms are not exactly the input atoms "
             "(indivisibility violated: atoms lost, duplicated, or fabricated)"

@@ -18,8 +18,8 @@ already consumed from every run — the global threshold stands in for the
 paper's per-array ``p_i``):
 
 * **Phase A (initialize M).** Stream the pointer blocks; for every run
-  ``i`` read blocks ``b[i]`` and ``b[i]+1`` and merge their atoms ``> P``
-  into the buffer, truncated to the M smallest.
+  ``i`` read blocks ``b[i]`` and ``b[i]+1``; the buffer is the M
+  smallest of their atoms ``> P``, selected once at the end of the phase.
 * **Phase B (identify active runs).** Re-read (peek) the last
   initialization block of each run. A run is *active* if that block's
   maximum is not the run's last atom and is among the buffer's M smallest
@@ -35,6 +35,11 @@ paper's per-array ``p_i``):
   blocks. A pointer only moves when a data block was fully consumed, so
   these writes amortize to ``O(n)``.
 
+Both machine modes run the same code: Phases A and C charge each block
+they read through :class:`RoundBuffer`'s per-block step, so a full run's
+event stream is the counting run's, touch and release grouping
+included. ``machine.counting`` only chooses the sort key.
+
 Setting ``pointer_mode="internal"`` keeps the ``b[i]`` table resident in
 internal memory instead — the strategy of the previously published AEM
 mergesort, which works only while the table fits (``omega*m + M`` within
@@ -45,10 +50,13 @@ E2's baseline.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from heapq import merge
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ..atoms.atom import Atom
 from ..core.params import AEMParams, ceil_div
 from ..machine.aem import AEMMachine
 from ..machine.phantom import token_of
@@ -163,6 +171,79 @@ class MergeStats:
 
 
 # ----------------------------------------------------------------------
+# The round's buffer (the paper's M).
+# ----------------------------------------------------------------------
+class RoundBuffer:
+    """The M smallest atoms above the threshold P among the blocks fed.
+
+    :meth:`feed` is the one per-block step of Phases A and C on both
+    machine modes: ``touch(n)`` for the block's n atoms, then
+    ``release(n + held - new)`` with ``new = min(M, held + accepted)``,
+    the accepted atoms being those strictly above P. These are the
+    per-atom insort/evict loop's totals (one release per rejected or
+    evicted atom), grouped per block, and they land before the next read
+    or acquire, so occupancy and peak are unchanged. They depend only on
+    counts, so the accepted atoms wait until :meth:`settle` moves them
+    into the buffer: Phase A settles once per round, Phase C after
+    every block.
+
+    ``key`` maps a stored item to its sort token: ``None`` on counting
+    machines, whose blocks already hold tokens. A full machine computes
+    tokens only where a comparison needs them, never for a whole block
+    or the whole buffer: a few bisect probes per block, and the atoms
+    the selection reaches.
+    """
+
+    def __init__(
+        self, machine: AEMMachine, M: int, threshold, key: Optional[Callable]
+    ):
+        self.machine = machine
+        self.M = M
+        self.threshold = threshold
+        self.key = key
+        self.held = 0  # atoms the buffer holds once settled
+        self.tokens: list = []  # the settled buffer's tokens, ascending
+        self.atoms: list = []  # its atoms (tokens on a counting machine)
+        self._fed: list = []  # the fed blocks' accepted slices, unsettled
+
+    def feed(self, blk: Sequence) -> None:
+        """Charge one sorted block's touches and releases; keep what is above P."""
+        n = len(blk)
+        self.machine.touch(n)
+        lo = 0
+        if self.threshold is not None:
+            lo = bisect_right(blk, self.threshold, key=self.key)
+        new = min(self.M, self.held + n - lo)
+        self.machine.release(n + self.held - new)
+        self.held = new
+        if lo < n:
+            self._fed.append(blk[lo:])
+
+    def _tokens(self, atoms: Sequence) -> Iterable:
+        """The atoms' sort tokens, each computed only when reached."""
+        return atoms if self.key is None else map(self.key, atoms)
+
+    def settle(self) -> None:
+        """Move the fed atoms into the buffer, keeping the M smallest."""
+        fed, self._fed = self._fed, []
+        M = self.M
+        if not self.atoms:
+            # One k-way merge of the sorted slices, cut at M.
+            self.atoms = list(islice(merge(*fed, key=self.key), M))
+            self.tokens = list(self._tokens(self.atoms))
+            return
+        tokens, atoms = self.tokens, self.atoms
+        for run in fed:
+            if len(tokens) >= M:  # full: only atoms below its maximum enter
+                run = run[: bisect_left(run, tokens[-1], key=self.key)]
+            for t, a in zip(self._tokens(run), run):
+                at = bisect_left(tokens, t)
+                tokens.insert(at, t)
+                atoms.insert(at, a)
+            del tokens[M:], atoms[M:]
+
+
+# ----------------------------------------------------------------------
 # The merge.
 # ----------------------------------------------------------------------
 def multiway_merge(
@@ -201,56 +282,14 @@ def multiway_merge(
         raise ValueError(f"unknown pointer_mode {pointer_mode!r}")
 
     M, m = params.M, params.m
-    counting = machine.counting
+    key = None if machine.counting else Atom.sort_token
     threshold = None  # sort token of the largest atom emitted so far (P)
     emitted = 0
-
-    def above_threshold(atom) -> bool:
-        return threshold is None or atom.sort_token() > threshold
 
     while emitted < total:
         rs = RoundStats()
         start = machine.snapshot()
-        buffer: list = []  # the paper's M: sorted, at most M atoms
-
-        def merge_atom(atom) -> None:
-            """Merge one freshly read (resident) atom into the buffer,
-            releasing it if rejected or an evicted atom otherwise."""
-            machine.touch()
-            if not above_threshold(atom):
-                machine.release(1)
-                return
-            if len(buffer) < M:
-                insort(buffer, atom)
-            elif atom < buffer[-1]:
-                buffer.pop()  # evict current largest candidate
-                machine.release(1)
-                insort(buffer, atom)
-            else:
-                machine.release(1)
-
-        def feed_block(tokens) -> None:
-            """Counting-mode ``merge_atom`` over a whole sorted block.
-
-            Keeping the M smallest of (buffer ∪ accepted tokens) is
-            feed-order independent, so extend+sort+truncate lands on the
-            exact buffer the per-atom loop builds. The per-atom touches
-            and releases are batched into one event each with identical
-            totals (releases per block = accepted-or-rejected atoms plus
-            evictions = len + old_len - new_len), and they land before
-            the next acquire, so peak memory is unchanged too.
-            """
-            machine.touch(len(tokens))
-            old_len = len(buffer)
-            if threshold is None:
-                buffer.extend(tokens)
-            else:
-                # First token strictly greater than the threshold — the
-                # batched form of merge_atom's strict `> threshold` test.
-                buffer.extend(tokens[bisect_right(tokens, threshold) :])
-            buffer.sort()
-            del buffer[M:]
-            machine.release(len(tokens) + old_len - len(buffer))
+        buf = RoundBuffer(machine, M, threshold, key)
 
         # ---------------- Phase A: initialize the buffer ----------------
         with machine.phase("merge/init"):
@@ -259,19 +298,15 @@ def multiway_merge(
                     continue
                 for idx in (b, b + 1):
                     if idx < runs[i].blocks:
-                        blk = machine.read(runs[i].addrs[idx])
-                        if counting:
-                            feed_block(blk)
-                        else:
-                            for atom in blk:
-                                merge_atom(atom)
+                        buf.feed(machine.read(runs[i].addrs[idx]))
+            buf.settle()
 
         # ---------------- Phase B: identify active runs -----------------
         # active entries: [i, next_block_index, s_token, last_block_read]
         active: list[list] = []
         init_maxes: dict[int, list] = {}  # i -> [(blk_idx, max_token), ...]
         with machine.phase("merge/identify"):
-            buf_full = len(buffer) >= M
+            buf_full = buf.held >= M
             for i, b in ptrs.scan():
                 if b == EXHAUSTED:
                     continue
@@ -279,7 +314,7 @@ def multiway_merge(
                 blk = machine.peek(runs[i].addrs[last_idx])
                 s_token = token_of(blk[-1])
                 is_final = last_idx == runs[i].blocks - 1
-                among_smallest = (not buf_full) or s_token < token_of(buffer[-1])
+                among_smallest = (not buf_full) or s_token < buf.tokens[-1]
                 if not is_final and among_smallest:
                     machine.acquire(4, "active-run state")
                     active.append([i, last_idx + 1, s_token, last_idx])
@@ -314,31 +349,26 @@ def multiway_merge(
                 blk = machine.read(runs[i].addrs[nxt])
                 rs.phase_c_reads += 1
                 s_token = token_of(blk[-1])
-                if counting:
-                    feed_block(blk)
-                else:
-                    for atom in blk:
-                        merge_atom(atom)
+                buf.feed(blk)
+                buf.settle()
                 machine.acquire(2, "pointer log")
                 logs[i].append((nxt, s_token))
                 entry[1] = nxt + 1
                 entry[2] = s_token
                 entry[3] = nxt
-                buf_full = len(buffer) >= M
+                buf_full = buf.held >= M
                 if nxt == runs[i].blocks - 1 or (
-                    buf_full and s_token > token_of(buffer[-1])
+                    buf_full and s_token > buf.tokens[-1]
                 ):
                     active.pop(j)
                     machine.release(4)
 
         # ---------------- Phase D: emit the round's output --------------
         with machine.phase("merge/emit"):
-            new_threshold = token_of(buffer[-1])
-            out.extend(buffer)
-            emitted += len(buffer)
-            rs.emitted = len(buffer)
-            buffer = []
-        threshold = new_threshold
+            out.extend(buf.atoms)
+            emitted += buf.held
+            rs.emitted = buf.held
+        threshold = buf.tokens[-1]
 
         # ---------------- Phase E: pointer update ------------------------
         with machine.phase("merge/pointers"):

@@ -345,3 +345,108 @@ class TestTokenOf:
     def test_plain_values_pass_through(self):
         assert token_of(5) == 5
         assert token_of((2, 9)) == (2, 9)
+
+
+# ----------------------------------------------------------------------
+# Full == counting, event for event: one kernel serves both modes.
+# ----------------------------------------------------------------------
+class EventStream(MachineObserver):
+    """Every event in order, each with the occupancy at it."""
+
+    needs_events = True
+
+    def __init__(self):
+        self.events = []
+
+    def on_attach(self, core):
+        self.mem = core.mem
+
+    def _log(self, *event):
+        self.events.append(event + (self.mem.occupancy,))
+
+    def on_read(self, addr, items, cost):
+        self._log("read", addr, len(items), cost)
+
+    def on_write(self, addr, items, cost):
+        self._log("write", addr, len(items), cost)
+
+    def on_acquire(self, k, what):
+        self._log("acquire", k, what)
+
+    def on_release(self, k):
+        self._log("release", k)
+
+    def on_touch(self, k):
+        self._log("touch", k)
+
+    def on_phase_enter(self, name):
+        self._log("enter", name)
+
+    def on_phase_exit(self, name):
+        self._log("exit", name)
+
+
+def _event_stream(workload, params, n, distribution, counting):
+    import numpy as np
+
+    from repro.sorting.runs import run_of_input
+    from repro.sorting.small import small_sort
+    from repro.workloads.generators import sort_input
+    from repro.workloads.search import (
+        build_index,
+        corpus_postings,
+        posting_atoms,
+        posting_tokens,
+    )
+
+    m = AEMMachine.for_algorithm(params, counting=counting)
+    log = m.attach(EventStream())
+    if workload == "index_build":
+        corpus = corpus_postings(n, rng=5)
+        items = posting_tokens(corpus) if counting else posting_atoms(corpus)
+        build_index(
+            m, m.load_input(items), params, n_docs=corpus.n_docs, n_terms=corpus.n_terms
+        )
+    else:
+        atoms = sort_input(n, distribution, np.random.default_rng(5))
+        addrs = m.load_input([token_of(a) for a in atoms] if counting else atoms)
+        if workload == "small_sort":
+            small_sort(m, run_of_input(m, addrs), params)
+        else:
+            SORTERS[workload](m, addrs, params)
+    m.flush()
+    return log.events
+
+
+#: (M, B, omega) points: omega < B, omega == B and omega > B.
+EVENT_POINTS = [(64, 8, 4), (32, 4, 4), (32, 4, 8), (128, 16, 2)]
+
+#: (workload, key distribution); the corpus draws its own keys.
+EVENT_WORKLOADS = [
+    (w, d)
+    for w in ("aem_mergesort", "pointer_mergesort", "small_sort")
+    for d in ("uniform", "few_distinct")
+] + [("index_build", None)]
+
+
+@pytest.mark.parametrize(
+    "point", EVENT_POINTS, ids=["M{}B{}w{}".format(*p) for p in EVENT_POINTS]
+)
+@pytest.mark.parametrize(
+    "workload,distribution",
+    EVENT_WORKLOADS,
+    ids=[w if d is None else f"{w}-{d}" for w, d in EVENT_WORKLOADS],
+)
+def test_full_and_counting_event_streams_equal(workload, distribution, point):
+    """The merge and the base case charge per block on both machine modes,
+    so a full run's events — touch and release grouping included — are
+    the counting run's. The sizes leave the last block of every input
+    ragged; ``few_distinct`` draws duplicate keys."""
+    M, B, omega = point
+    params = AEMParams(M=M, B=B, omega=omega)
+    base = params.base_case_size()
+    n = base - B + 3 if workload == "small_sort" else 3 * base + B // 2 + 1
+    full = _event_stream(workload, params, n, distribution, counting=False)
+    counting = _event_stream(workload, params, n, distribution, counting=True)
+    assert any(e[0] == "touch" for e in full)
+    assert full == counting

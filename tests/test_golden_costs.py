@@ -11,6 +11,12 @@ Reference instance: (M=64, B=8, omega=4); sorting N=2000 uniform keys
 (seed 42), permuting N=1024 random (seed 42), SpMxV N=256, delta=4
 random conformation (seed 42), and the search workload on N=2000
 postings (seed 42, 64 queries).
+
+BENCH_GOLDEN pins the ``repro-aem bench`` suite's 14 cases at
+(M=128, B=16, omega=8) with their default seeds, values from
+``benchmarks/BENCH_baseline.json``: the merge at 20 runs, and the
+counting twins next to their full cases. The instances are restated
+here rather than imported from the suite, so the pins outlive it.
 """
 
 import pytest
@@ -65,6 +71,74 @@ QUERY_PHASE_GOLDEN = [
     ("and", 3, (1693, 14780, 45)),
     ("or", 2, (2215, 38900, 21)),
 ]
+
+
+# (case, (Q, Qr, Qw, T, peak_mem)) — the bench suite's names and instances.
+BENCH_GOLDEN = [
+    ("index/build/n8000", (26361, 7137, 2403, 88478, 178)),
+    ("index/build/n8000/counting", (26361, 7137, 2403, 88478, 178)),
+    ("micro/scan_copy/B128n200000", (84402, 9378, 9378, 0, 128)),
+    ("micro/scan_copy/B128n200000/counting", (84402, 9378, 9378, 0, 128)),
+    ("permute/adaptive/n16384", (24555, 16363, 1024, 16384, 32)),
+    ("permute/naive/n8192", (12273, 8177, 512, 8192, 32)),
+    ("search/and/n4000q128", (3743, 3743, 0, 78752, 182)),
+    ("search/and/n4000q128/counting", (3743, 3743, 0, 78752, 182)),
+    ("sort/aem_mergesort/n20000", (71130, 46842, 3036, 371808, 160)),
+    ("sort/aem_mergesort/n20000/counting", (71130, 46842, 3036, 371808, 160)),
+    ("sort/aem_samplesort/n20000", (36745, 15929, 2602, 232793, 144)),
+    ("sort/em_mergesort/n20000", (45000, 5000, 5000, 80000, 128)),
+    ("spmxv/sort_based/n1024d4", (9275, 2851, 803, 44565, 144)),
+    ("spmxv/sort_based/n1024d4/counting", (9275, 2851, 803, 44565, 144)),
+]
+
+BENCH_P = AEMParams(M=128, B=16, omega=8)
+
+
+def _scan_copy_passes(counting, n=200_000, B=128, passes=6):
+    from repro.atoms.atom import make_atoms
+    from repro.machine.cost import CostRecord
+    from repro.machine.streams import scan_copy
+
+    m = AEMMachine.for_algorithm(AEMParams(M=8 * B, B=B, omega=8), counting=counting)
+    addrs = m.load_input(make_atoms(range(n)))
+    for _ in range(passes):
+        scan_copy(m, addrs)
+    return CostRecord.from_snapshot(m.snapshot(), peak=m.core.mem.peak)
+
+
+#: case name (less its ``/counting`` suffix) -> run(counting)
+BENCH_RUNS = {
+    "index/build/n8000": lambda c: measure_index_build(
+        8000, BENCH_P, counting=c, verify=False
+    ),
+    "micro/scan_copy/B128n200000": _scan_copy_passes,
+    "permute/adaptive/n16384": lambda c: measure_permute(
+        "adaptive", 16384, BENCH_P, counting=c
+    ),
+    "permute/naive/n8192": lambda c: measure_permute("naive", 8192, BENCH_P, counting=c),
+    "search/and/n4000q128": lambda c: measure_search_query(
+        4000, BENCH_P, n_queries=128, counting=c, verify=False
+    ),
+    "sort/aem_mergesort/n20000": lambda c: measure_sort(
+        "aem_mergesort", 20000, BENCH_P, counting=c
+    ),
+    "sort/aem_samplesort/n20000": lambda c: measure_sort(
+        "aem_samplesort", 20000, BENCH_P, counting=c
+    ),
+    "sort/em_mergesort/n20000": lambda c: measure_sort(
+        "em_mergesort", 20000, BENCH_P, counting=c
+    ),
+    "spmxv/sort_based/n1024d4": lambda c: measure_spmxv(
+        "sort_based", 1024, 4, BENCH_P, counting=c
+    ),
+}
+
+
+@pytest.mark.parametrize("name,golden", BENCH_GOLDEN, ids=[r[0] for r in BENCH_GOLDEN])
+def test_bench_suite_costs_pinned(name, golden):
+    case = name.removesuffix("/counting")
+    rec = BENCH_RUNS[case](case != name)
+    assert (rec["Q"], rec["Qr"], rec["Qw"], rec["T"], rec["peak_mem"]) == golden
 
 
 def _ids(rows):

@@ -1,7 +1,10 @@
 """The Section 3.1 omega*m-way merge: correctness, Lemma 3.1, Theorem 3.2."""
 
+from bisect import insort
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.atoms.atom import Atom, make_atoms
 from repro.core.params import AEMParams
@@ -14,6 +17,7 @@ from repro.sorting.merge import (
     ExternalPointerStore,
     InternalPointerStore,
     MergeStats,
+    RoundBuffer,
     multiway_merge,
 )
 from repro.sorting.runs import Run
@@ -280,3 +284,104 @@ class TestPointerLogAccounting:
         # traffic — allow 3x slack per doubling, far below quadratic.
         assert words[1] <= 3 * words[0]
         assert words[2] <= 3 * words[1]
+
+
+# ----------------------------------------------------------------------
+# The round buffer against the per-atom selection model.
+# ----------------------------------------------------------------------
+def reference_feed(buffer, blk, threshold, M):
+    """The per-atom insort/evict selection: the round buffer's reference.
+
+    Merges one block's atoms into the sorted ``buffer`` (at most M
+    atoms, strictly above ``threshold``): one touch per atom, one release
+    per rejected or evicted atom. Returns the block's (touches, releases).
+    """
+    touches = releases = 0
+    for atom in blk:
+        touches += 1
+        if threshold is not None and atom.sort_token() <= threshold:
+            releases += 1
+        elif len(buffer) < M:
+            insort(buffer, atom)
+        elif atom < buffer[-1]:
+            buffer.pop()  # evict the largest candidate
+            insort(buffer, atom)
+            releases += 1
+        else:
+            releases += 1
+    return touches, releases
+
+
+class Tally:
+    """Stands in for the machine: the round buffer only touches and releases."""
+
+    def __init__(self):
+        self.touches = self.releases = 0
+
+    def touch(self, k):
+        self.touches += k
+
+    def release(self, k):
+        self.releases += k
+
+
+@st.composite
+def selection_cases(draw):
+    """Sorted blocks of atoms with duplicate keys, a threshold and an M."""
+    keys = draw(st.lists(st.integers(0, 12), min_size=1, max_size=80))
+    atoms = make_atoms(keys)
+    order = draw(st.permutations(range(len(atoms))))
+    cuts = sorted(draw(st.lists(st.integers(1, len(atoms)), max_size=12)))
+    blocks, lo = [], 0
+    for hi in cuts + [len(atoms)]:
+        if hi > lo:
+            blocks.append(sorted(atoms[i] for i in order[lo:hi]))
+            lo = hi
+    threshold = draw(
+        st.none() | st.sampled_from([a.sort_token() for a in atoms])
+    )
+    return blocks, threshold, draw(st.integers(1, 24))
+
+
+class TestRoundBufferMatchesPerAtomModel:
+    """Both machine modes run the merge's block-at-a-time kernel; the
+    per-atom loop is its reference: same buffer after every block, same
+    touch and release totals per block."""
+
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=selection_cases())
+    def test_settled_after_every_block(self, counting, case):
+        blocks, threshold, M = case
+        model, tally = [], Tally()
+        key = None if counting else Atom.sort_token
+        buf = RoundBuffer(tally, M, threshold, key)
+        for blk in blocks:
+            expected = reference_feed(model, blk, threshold, M)
+            before = (tally.touches, tally.releases)
+            buf.feed([a.sort_token() for a in blk] if counting else blk)
+            buf.settle()
+            got = (tally.touches - before[0], tally.releases - before[1])
+            assert got == expected
+            assert buf.tokens == [a.sort_token() for a in model]
+            assert buf.atoms == (buf.tokens if counting else model)
+            assert buf.held == len(model)
+
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=selection_cases())
+    def test_settled_once_per_round(self, counting, case):
+        # Phase A: every block fed first, one selection at the end.
+        blocks, threshold, M = case
+        model, tally = [], Tally()
+        key = None if counting else Atom.sort_token
+        buf = RoundBuffer(tally, M, threshold, key)
+        for blk in blocks:
+            expected = reference_feed(model, blk, threshold, M)
+            before = (tally.touches, tally.releases)
+            buf.feed([a.sort_token() for a in blk] if counting else blk)
+            assert (tally.touches - before[0], tally.releases - before[1]) == expected
+            assert buf.held == len(model)
+        buf.settle()
+        assert buf.tokens == [a.sort_token() for a in model]
+        assert buf.atoms == (buf.tokens if counting else model)

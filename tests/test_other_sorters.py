@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.atoms.atom import Atom, make_atoms
 from repro.core.bounds import em_sort_shape, sort_upper_shape
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
-from repro.sorting.base import SORTERS, run_sorter, verify_sorted_output
+from repro.sorting.base import (
+    SORTERS,
+    SortVerificationError,
+    run_sorter,
+    verify_sorted_output,
+)
 from repro.sorting.heapsort import _replacement_selection
 from repro.sorting.runs import run_of_input
 from repro.workloads.generators import sort_input
@@ -125,3 +131,43 @@ class TestEmMergesort:
             p = AEMParams(M=64, B=8, omega=omega)
             costs[omega] = run("em_mergesort", p, 2_000, seed=1).cost
         assert costs[16] >= 7 * costs[1]
+
+
+class TestVerifySortedOutput:
+    """The referee's three verdicts, each provoked by a forged output."""
+
+    def check(self, atoms, output):
+        m = AEMMachine.for_algorithm(AEMParams(M=64, B=8, omega=4))
+        return verify_sorted_output(m, atoms, m.load_input(output))
+
+    def atoms(self):
+        # Duplicate keys: uids alone tell the atoms apart.
+        return make_atoms([5, 3, 5, 1, 3, 5, 2, 2, 4, 0, 5, 1])
+
+    def test_correct_output_returned(self):
+        atoms = self.atoms()
+        assert self.check(atoms, sorted(atoms)) == sorted(atoms)
+
+    def test_short_output(self):
+        atoms = self.atoms()
+        with pytest.raises(SortVerificationError, match="output holds 11 atoms, input had 12"):
+            self.check(atoms, sorted(atoms)[:-1])
+
+    def test_unsorted_output(self):
+        out = sorted(self.atoms())
+        out[6], out[7] = out[7], out[6]
+        with pytest.raises(SortVerificationError, match="not sorted at position 6"):
+            self.check(self.atoms(), out)
+
+    def test_duplicated_atom(self):
+        out = sorted(self.atoms())
+        out[4] = out[3]  # sorted and the right length, one atom twice
+        with pytest.raises(SortVerificationError, match="not exactly the input atoms"):
+            self.check(self.atoms(), out)
+
+    def test_fabricated_atom(self):
+        atoms = self.atoms()
+        out = sorted(atoms)
+        out[-1] = Atom(out[-1].key, 99)  # same key, an identity nobody had
+        with pytest.raises(SortVerificationError, match="not exactly the input atoms"):
+            self.check(atoms, out)
