@@ -1,8 +1,8 @@
 """The canonical measurement functions behind :mod:`repro.api`.
 
 One function per workload family — sort, permute, SpMxV. Each builds a
-fresh machine, runs the named algorithm, verifies the output (full mode),
-and returns a typed :class:`~repro.machine.cost.CostRecord`. They are
+fresh machine, runs the named algorithm, verifies the output, and
+returns a typed :class:`~repro.machine.cost.CostRecord`. They are
 top-level functions taking only picklable arguments, so the sweep engine
 can fan them out to worker processes and memoize them by content hash.
 
@@ -26,7 +26,7 @@ from ..machine.aem import AEMMachine
 from ..machine.cost import CostRecord, CostSnapshot
 from ..observe.base import MachineObserver
 from ..permute.base import PERMUTERS, verify_permutation_output
-from ..sorting.base import COUNTING_SORTERS, SORTERS, verify_sorted_output
+from ..sorting.base import SORTERS, verify_sorted_output
 from ..spmxv.matrix import load_matrix, load_vector, verify_spmxv_output
 from ..spmxv.naive import spmxv_naive
 from ..spmxv.sort_based import spmxv_sort_based
@@ -47,20 +47,17 @@ def measure_sort(
 ) -> CostRecord:
     """Run a registered sorter on a fresh machine; returns cost fields.
 
-    ``counting=True`` requests the payload-free fast path; sorters not yet
-    ported to it (:data:`~repro.sorting.base.COUNTING_SORTERS` lists the
-    ported ones) fall back to a full machine with identical costs. Output
-    verification needs payloads, so a counting run skips it — the paired
-    full-mode runs in the test suite carry the correctness burden.
+    ``counting=True`` runs on the payload-free fast path, which every
+    registered sorter supports. Verification runs in both modes: a
+    counting run is checked on its output's ``(key, uid)`` tokens.
     """
-    counting = counting and sorter in COUNTING_SORTERS
     atoms = sort_input(N, distribution, np.random.default_rng(seed))
     machine = AEMMachine.for_algorithm(
         params, slack=slack, observers=observers, counting=counting
     )
     addrs = machine.load_input(atoms)
     out = SORTERS[sorter](machine, addrs, params)
-    if verify and not counting:
+    if verify:
         verify_sorted_output(machine, atoms, out)
     return _cost_fields(machine.snapshot(), peak=machine.mem.peak)
 
@@ -80,7 +77,9 @@ def measure_permute(
     """Run a registered permuter on a fresh machine; returns cost fields.
 
     Every registered permuter supports ``counting=True`` (payload-free fast
-    path); verification is skipped there, as it needs the output payloads.
+    path). Verification runs in both modes; a counting run is checked on
+    its output's uids (see
+    :func:`~repro.permute.base.verify_permutation_output`).
     """
     rng = np.random.default_rng(seed)
     atoms = [Atom(int(k), i) for i, k in enumerate(rng.integers(0, 8 * N, N))]
@@ -90,7 +89,7 @@ def measure_permute(
     )
     addrs = machine.load_input(atoms)
     out = PERMUTERS[permuter](machine, addrs, perm, params)
-    if verify and not counting:
+    if verify:
         verify_permutation_output(machine, atoms, out, perm)
     return _cost_fields(machine.snapshot(), peak=machine.mem.peak)
 
@@ -110,8 +109,9 @@ def measure_spmxv(
 ) -> CostRecord:
     """Run an SpMxV algorithm on a fresh machine; returns cost fields.
 
-    Both algorithms support ``counting=True`` (payload-free fast path);
-    verification is skipped there, as it needs the output vector.
+    Both algorithms support ``counting=True`` (payload-free fast path).
+    Verification is full-mode only: the output vector's values are
+    payload, which a counting machine never computes.
     """
     conf, values, x = spmxv_instance(N, delta, family, np.random.default_rng(seed))
     machine = AEMMachine.for_algorithm(

@@ -123,7 +123,8 @@ COMMON_FIELDS: Tuple[QueryField, ...] = (
         boolean,
         default=None,
         help="payload-free counting machine: identical costs, much faster "
-        "simulation, no output verification",
+        "simulation, output verified from its (key, uid) tokens (SpMxV: "
+        "not verified)",
     ),
 )
 

@@ -693,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--counting",
         action="store_true",
         help="run sweeps on payload-free counting machines where supported "
-        "(identical costs, faster simulation, no output verification)",
+        "(identical costs, faster simulation; outputs are verified from "
+        "their (key, uid) tokens, except SpMxV's)",
     )
     _add_telemetry_arg(exp)
     exp.set_defaults(fn=cmd_exp)

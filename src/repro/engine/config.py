@@ -49,7 +49,8 @@ class ExperimentConfig:
     counting:
         Run measurements on counting (payload-free) machines where the
         measure function supports it; costs are bit-identical to full
-        runs, output verification is skipped. See
+        runs, and outputs are verified from their ``(key, uid)`` tokens,
+        except SpMxV's, whose values are payload. See
         :mod:`repro.machine.phantom`.
     profile:
         Attach a :class:`~repro.telemetry.profile.CostProfiler` to every

@@ -90,6 +90,8 @@ class AEMMachine:
         stash: ``write``/``load_input`` remember each block's *scheduling
         tokens* (``Atom.sort_token()`` for atoms, the value itself for
         pointer words and numbers), and ``read``/``peek`` hand those back.
+        :meth:`collect_output` returns them too, so outputs are verified
+        on both machine modes.
     flush_every:
         Event-bus batch flush interval, passed through to
         :class:`~repro.machine.core.MachineCore` (``None`` keeps the
@@ -369,14 +371,27 @@ class AEMMachine:
         return addrs
 
     def collect_output(self, addrs: Iterable[int]) -> list:
-        """Concatenate output blocks for verification (cost-free)."""
-        if self.counting:
-            raise AddressError(
-                "collect_output needs atom payloads, which a counting "
-                "machine never materializes; verify outputs on a full "
-                "(counting=False) machine"
-            )
-        return self.disk.dump_items(addrs)
+        """Concatenate output blocks for verification (cost-free).
+
+        This is the referee reading the output, so it charges nothing. A
+        counting machine returns the blocks' stashed scheduling tokens —
+        an atom's ``(key, uid)``, which is all verification compares — and
+        raises :class:`AddressError` for a non-empty block written as a
+        phantom payload, whose tokens no one knows.
+        """
+        if not self.counting:
+            return self.disk.dump_items(addrs)
+        out: list = []
+        for addr in addrs:
+            tokens = self._stash_tokens(addr)
+            if tokens is not None:
+                out.extend(tokens)
+            elif self.block_len(addr):
+                raise AddressError(
+                    f"block {addr} was written as a phantom payload; a "
+                    "counting machine holds no tokens to verify it by"
+                )
+        return out
 
     # ------------------------------------------------------------------
     # Cost readout.

@@ -21,7 +21,8 @@ instead of silently wrong data.
 Machines built with ``counting=True`` own one of these stores; see
 :class:`~repro.machine.aem.AEMMachine` for the token-stash mechanism that
 lets data-driven schedules (the Section 3.1 merge reads blocks in an
-order decided by their contents) still make bit-identical decisions.
+order decided by their contents) still make bit-identical decisions, and
+that output verification reads instead of atom payloads.
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ class PhantomBlockStore(BlockStore):
     The interface is the full store's; the difference is representational:
     ``_blocks[addr]`` holds an ``int`` occupancy instead of an atom tuple,
     ``get`` returns a :class:`PhantomBlock`, and the bulk verification
-    helper ``dump_items`` refuses to run (there is nothing to dump).
+    helper ``dump_items`` refuses to run (there is nothing to dump). A
+    counting machine verifies its output from its token stash instead
+    (:meth:`~repro.machine.aem.AEMMachine.collect_output`).
     """
 
     #: Machines and the core use this to pick payload-free code paths.
@@ -199,7 +202,8 @@ class PhantomBlockStore(BlockStore):
     def dump_items(self, addrs: Iterable[int]) -> list:
         raise AddressError(
             "a PhantomBlockStore holds occupancies, not contents; "
-            "output collection/verification needs a full (counting=False) machine"
+            "collect a counting machine's output through its token stash "
+            "(AEMMachine.collect_output)"
         )
 
     def snapshot(self) -> Dict[int, Tuple]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Sequence
 
 from ..atoms.atom import Atom, same_atom_multiset
@@ -31,17 +32,24 @@ def verify_permutation_output(
     output_addrs: Sequence[int],
     perm: Permutation,
 ) -> list[Atom]:
-    """Check ``output[perm[i]].uid == input[i].uid`` and atom preservation."""
+    """Check ``output[perm[i]].uid == input[i].uid`` and atom preservation.
+
+    The uid placement is checked on both machine modes; a counting
+    machine's output is ``(key, uid)`` tokens. The key check is full-only:
+    :func:`~repro.permute.sort_based.permute_sort_based` leaves a counting
+    token keyed by its destination, as it has no original key to restore.
+    """
     out = machine.collect_output(output_addrs)
     if len(out) != len(input_atoms):
         raise PermuteVerificationError(
             f"output holds {len(out)} atoms, input had {len(input_atoms)}"
         )
+    uid = itemgetter(1) if machine.counting else attrgetter("uid")
     if not verify_permuted(
-        perm, [a.uid for a in input_atoms], [a.uid for a in out]
+        perm, [a.uid for a in input_atoms], list(map(uid, out))
     ):
         raise PermuteVerificationError("output does not realize the permutation")
-    if not same_atom_multiset(input_atoms, out):
+    if not machine.counting and not same_atom_multiset(input_atoms, out):
         raise PermuteVerificationError(
             "output atoms are not exactly the input atoms (indivisibility violated)"
         )

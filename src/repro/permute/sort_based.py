@@ -54,8 +54,8 @@ def permute_sort_based(
 
     # Strip: restore the original key, now in destination order. A token
     # carries no original key to restore; the pass's costs are content-free
-    # and nothing reads the final payloads in counting mode, so the tokens
-    # pass through unchanged.
+    # and counting-mode verification checks uid placement only, so the
+    # tokens pass through keyed by their destination.
     with machine.phase("permute_sort/strip"):
         writer = BlockWriter(machine)
         reader = BlockReader(machine, sorted_addrs)

@@ -16,21 +16,18 @@ AEM201 — phase balance
     they are the two halves of the protocol, balanced across calls by
     construction.
 
-AEM202 — counting-safety inference vs. the allow-list
-    Counting machines carry tokens, not atoms, so a sorter/permuter on
-    the counting fast path must never read payloads (``.sort_token()``
-    on a stored item, ``.key``/``.value``/``.uid`` field reads,
-    ``dump_items``/``load_items``/``collect_output``) except on paths
-    where ``machine.counting`` is known false. This rule *derives* the
-    counting-safe set: a branch-sensitive mode analysis (counting may be
-    {true, false, either} per CFG edge) runs over each registry entry's
-    call graph — following module functions, deferred imports, nested
-    defs, ``self.`` methods, and methods of locally constructed project
-    classes — and collects payload operations reachable while counting
-    may be true. The result is cross-checked in both directions against
-    ``COUNTING_SORTERS``: an allow-listed sorter with a reachable
-    payload op is a correctness bug; a clean sorter missing from the
-    list is drift that silently forfeits the fast path.
+AEM202 — counting safety of every registered sorter and permuter
+    Counting machines carry tokens, not atoms, and every registered
+    sorter and permuter runs on them, so none may read payloads
+    (``.sort_token()`` on a stored item, ``.key``/``.value``/``.uid``
+    field reads, ``dump_items``/``load_items``/``collect_output``)
+    except on paths where ``machine.counting`` is known false. A
+    branch-sensitive mode analysis (counting may be {true, false,
+    either} per CFG edge) runs over each registry entry's call graph —
+    following module functions, deferred imports, nested defs, ``self.``
+    methods, and methods of locally constructed project classes — and
+    collects payload operations reachable while counting may be true.
+    Each entry with one is a finding at its registry's line.
 
 AEM203 — batch escape analysis
     The vectorized event bus refills one :class:`EventBatch` in place,
@@ -96,7 +93,7 @@ RULES: Dict[str, str] = {
     "AEM108": "serving layer constructs a machine directly",
     "AEM109": "observer touches the ambient span machinery",
     "AEM201": "enter_phase without matching exit_phase on some path",
-    "AEM202": "counting-safety drift vs. COUNTING_SORTERS",
+    "AEM202": "registered sorter/permuter reads payloads in counting mode",
     "AEM203": "batch/column reference escapes on_batch",
     "AEM204": "blocking call inside async serving code",
 }
@@ -529,6 +526,14 @@ class CountingInference:
         return None
 
 
+#: The registries every entry of which runs on counting machines:
+#: (kind, module under the package, registry variable).
+_COUNTING_REGISTRIES = (
+    ("sorter", "sorting.base", "SORTERS"),
+    ("permuter", "permute.base", "PERMUTERS"),
+)
+
+
 def infer_payload_sites(
     project: ProjectModel,
 ) -> Dict[str, Tuple[PayloadSite, ...]]:
@@ -539,12 +544,8 @@ def infer_payload_sites(
     """
     inference = CountingInference(project)
     out: Dict[str, Tuple[PayloadSite, ...]] = {}
-    pkg = project.package
-    for module_name, var in (
-        (f"{pkg}.sorting.base", "SORTERS"),
-        (f"{pkg}.permute.base", "PERMUTERS"),
-    ):
-        registry = project.registry(module_name, var)
+    for _kind, module, var in _COUNTING_REGISTRIES:
+        registry = project.registry(f"{project.package}.{module}", var)
         if registry is None:
             continue
         for name, qual in registry.entries.items():
@@ -561,71 +562,33 @@ def infer_counting_safe(project: ProjectModel) -> Dict[str, bool]:
 
 
 def _check_counting_safety(project: ProjectModel, root: Path) -> List[Finding]:
-    pkg = project.package
     sites_by_name = infer_payload_sites(project)
     out: List[Finding] = []
-
-    sorters = project.registry(f"{pkg}.sorting.base", "SORTERS")
-    allow = project.name_set(f"{pkg}.sorting.base", "COUNTING_SORTERS")
-    if sorters is not None and allow is not None:
-        rel = _rel_path(allow.path, root)
-        for name in sorted(sorters.entries):
-            if name not in sites_by_name:
-                continue
-            sites = sites_by_name[name]
-            listed = name in allow.values
-            if listed and sites:
-                witness = "; ".join(
-                    f"{_rel_path(s.path, root)}:{s.line}: {s.what}"
-                    for s in sites[:3]
-                )
-                out.append(
-                    Finding(
-                        "AEM202",
-                        rel,
-                        allow.line,
-                        name,
-                        f"sorter {name!r} is allow-listed in COUNTING_SORTERS "
-                        f"but payload operations are reachable while "
-                        f"machine.counting may be true: {witness}",
-                    )
-                )
-            elif not listed and not sites:
-                out.append(
-                    Finding(
-                        "AEM202",
-                        rel,
-                        allow.line,
-                        name,
-                        f"sorter {name!r} makes no counting-mode payload "
-                        "access but is missing from COUNTING_SORTERS; add it "
-                        "(or add a payload guard comment explaining why not)",
-                    )
-                )
-
-    permuters = project.registry(f"{pkg}.permute.base", "PERMUTERS")
-    if permuters is not None:
-        perm_model = project.module(f"{pkg}.permute.base")
-        perm_rel = _rel_path(perm_model.path, root) if perm_model else ""
-        for name in sorted(permuters.entries):
+    for kind, module, var in _COUNTING_REGISTRIES:
+        module_name = f"{project.package}.{module}"
+        registry = project.registry(module_name, var)
+        model = project.module(module_name)
+        if registry is None or model is None:
+            continue
+        rel = _rel_path(model.path, root)
+        for name in sorted(registry.entries):
             sites = sites_by_name.get(name, ())
-            if sites:
-                witness = "; ".join(
-                    f"{_rel_path(s.path, root)}:{s.line}: {s.what}"
-                    for s in sites[:3]
+            if not sites:
+                continue
+            witness = "; ".join(
+                f"{_rel_path(s.path, root)}:{s.line}: {s.what}" for s in sites[:3]
+            )
+            out.append(
+                Finding(
+                    "AEM202",
+                    rel,
+                    registry.line,
+                    name,
+                    f"{kind} {name!r} must run on counting machines (every "
+                    f"registered {kind} does) but payload operations are "
+                    f"reachable while machine.counting may be true: {witness}",
                 )
-                out.append(
-                    Finding(
-                        "AEM202",
-                        perm_rel,
-                        permuters.line,
-                        name,
-                        f"permuter {name!r} must support counting mode (all "
-                        f"registered permuters do) but payload operations "
-                        f"are reachable while machine.counting may be true: "
-                        f"{witness}",
-                    )
-                )
+            )
     return out
 
 

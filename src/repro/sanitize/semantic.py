@@ -15,9 +15,8 @@ importing (executing!) the code under analysis:
 * :class:`ProjectModel` — every module of a package directory, plus
   cross-module symbol lookup (used by the counting-safety inference to
   chase a sorter's call graph across files) and literal *registry
-  extraction*: evaluating ``SORTERS = {"name": fn, ...}`` and
-  ``COUNTING_SORTERS = frozenset({...})`` from the AST so the analysis
-  can compare the manual allow-list with what it infers.
+  extraction*: evaluating ``SORTERS = {"name": fn, ...}`` from the AST
+  so the analysis can check every registered entry.
 
 Resolution is static and deliberately modest: it follows imports and
 single assignments of plain names, not arbitrary dataflow. That covers
@@ -30,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .flow import FunctionNode
 
@@ -196,16 +195,6 @@ class Registry:
     entries: Dict[str, str]  # key -> fully qualified callable
 
 
-@dataclass
-class NameSet:
-    """A literal set/frozenset of strings evaluated from the AST."""
-
-    name: str
-    line: int
-    values: FrozenSet[str]
-    path: str = ""
-
-
 class ProjectModel:
     """Every module under one package directory, resolvable by name.
 
@@ -289,35 +278,6 @@ class ProjectModel:
             if resolved is not None:
                 entries[key.value] = resolved
         return Registry(name=var, line=expr.lineno, entries=entries)
-
-    def name_set(self, module_name: str, var: str) -> Optional[NameSet]:
-        """Evaluate a ``VAR = frozenset({...})`` / set / tuple of string
-        literals."""
-        model = self.modules.get(module_name)
-        if model is None:
-            return None
-        expr = model.assignments.get(var)
-        if expr is None:
-            return None
-        inner: Optional[ast.expr] = expr
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Name)
-            and expr.func.id in ("frozenset", "set", "tuple", "list")
-        ):
-            inner = expr.args[0] if expr.args else None
-        values: List[str] = []
-        if isinstance(inner, (ast.Set, ast.Tuple, ast.List)):
-            for elt in inner.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    values.append(elt.value)
-        elif inner is None and isinstance(expr, ast.Call):
-            pass  # frozenset() — empty
-        else:
-            return None
-        return NameSet(
-            name=var, line=expr.lineno, values=frozenset(values), path=model.path
-        )
 
 
 #: Fully qualified machine constructors the serving layer must not call

@@ -4,10 +4,17 @@ Every sorter in this package has the same signature::
 
     sorter(machine, addrs, params) -> output block addresses
 
-Verification is cost-free (it inspects the block store directly — the
-referee checking the output, not the program): the output must be sorted
-by the strict ``(key, uid)`` order and consist of *exactly* the input
-atoms (the indivisibility contract of Section 4).
+Every sorter runs on full and counting machines alike: it reads stored
+items through :func:`~repro.machine.phantom.token_of`, so on a counting
+machine it steers on the stashed ``(key, uid)`` tokens and makes the
+decisions a full run makes.
+
+Verification is cost-free (the referee reading the output through
+:meth:`~repro.machine.aem.AEMMachine.collect_output`, not the program)
+and runs in both modes: the output must be sorted by the strict
+``(key, uid)`` order and consist of *exactly* the input atoms (the
+indivisibility contract of Section 4). A token is that identity, so a
+counting run is checked as fully as a full one.
 """
 
 from __future__ import annotations
@@ -43,21 +50,6 @@ SORTERS: Dict[str, Sorter] = {
     "pointer_mergesort": pointer_mergesort,
 }
 
-#: Sorters ported to the counting fast path: on a counting machine they
-#: read only scheduling tokens and make bit-identical decisions on them.
-#: The merge and the base case run one kernel on both machine modes and
-#: read ``machine.counting`` only to choose the sort key. The rest
-#: silently run on a full machine when counting is requested — their
-#: costs are identical, just slower to simulate.
-#:
-#: This allow-list is cross-checked by static analysis: rule AEM202
-#: (``repro.sanitize.analysis``) infers which sorters can reach a
-#: payload operation while ``machine.counting`` may be true and flags
-#: drift in either direction; ``repro-aem check --analysis`` and
-#: ``tests/test_static_analysis.py`` both fail if this set and the code
-#: disagree.
-COUNTING_SORTERS = frozenset({"aem_mergesort", "pointer_mergesort", "em_mergesort"})
-
 
 class SortVerificationError(AssertionError):
     """The output of a sorter violates its contract."""
@@ -71,16 +63,17 @@ def verify_sorted_output(
     """Check sortedness and atom-multiset preservation; returns the output.
 
     One comparison decides both: the output's ``(key, uid)`` tokens must
-    equal the sorted input tokens. Raises :class:`SortVerificationError`
-    with a pinpointed message on any violation. Inspection is cost-free
-    by design.
+    equal the sorted input tokens. A counting machine's output already is
+    those tokens (and is what this returns there). Raises
+    :class:`SortVerificationError` with a pinpointed message on any
+    violation. Inspection is cost-free by design.
     """
     out = machine.collect_output(output_addrs)
     if len(out) != len(input_atoms):
         raise SortVerificationError(
             f"output holds {len(out)} atoms, input had {len(input_atoms)}"
         )
-    got = list(map(Atom.sort_token, out))
+    got = out if machine.counting else list(map(Atom.sort_token, out))
     if got != sorted(map(Atom.sort_token, input_atoms)):
         bad = next((i for i in range(len(got) - 1) if got[i] > got[i + 1]), None)
         if bad is not None:

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
+from ..machine.phantom import token_of
 from ..machine.streams import BlockReader, BlockWriter
 from .merge import multiway_merge
 from .runs import Run, run_of_input
@@ -44,7 +45,7 @@ def _replacement_selection(
     with machine.phase("heapsort/run-formation"):
         while len(heap) < params.M and not reader.exhausted():
             atom = reader.take()
-            heap.append((0, atom.sort_token(), atom))
+            heap.append((0, token_of(atom), atom))
         heapq.heapify(heap)
         machine.touch(len(heap))
 
@@ -68,7 +69,7 @@ def _replacement_selection(
             last_token = token
             if not reader.exhausted():
                 incoming = reader.take()
-                in_token = incoming.sort_token()
+                in_token = token_of(incoming)
                 joins_current = last_token is None or in_token >= last_token
                 in_tag = current_tag if joins_current else current_tag + 1
                 heapq.heappush(heap, (in_tag, in_token, incoming))

@@ -28,6 +28,7 @@ from typing import Sequence
 
 from ..core.params import AEMParams, ceil_div
 from ..machine.aem import AEMMachine
+from ..machine.phantom import token_of
 from ..machine.streams import BlockReader, BlockWriter
 from .runs import Run, concat_runs, run_of_input
 from .small import small_sort
@@ -61,7 +62,7 @@ def _select_splitters(
     pos = 0
     for atom in reader:
         if pos in positions:
-            writer.push_new(atom.sort_token())
+            writer.push_new(token_of(atom))
         machine.release(1)
         pos += 1
     return Run.of(writer.close(), writer.count)
@@ -120,7 +121,7 @@ def sample_sort_run(
             writers = [BlockWriter(machine) for _ in range(g)]
             reader = BlockReader(machine, run.addrs)
             for atom in reader:
-                token = atom.sort_token()
+                token = token_of(atom)
                 machine.touch()
                 if lo_token is not None and token <= lo_token:
                     machine.release(1)

@@ -45,6 +45,7 @@ from ..atoms.atom import Atom
 from ..core.params import AEMParams, ceil_div
 from ..machine.aem import AEMMachine
 from ..machine.errors import MachineError
+from ..machine.phantom import token_of
 from ..machine.streams import BlockWriter
 from ..sorting.merge import multiway_merge
 from ..sorting.runs import Run
@@ -128,7 +129,7 @@ class ExternalPQ:
     # ------------------------------------------------------------------
     def push(self, atom: Atom) -> None:
         """Insert an atom the caller already holds in internal memory."""
-        heapq.heappush(self._insert, (atom.sort_token(), atom))
+        heapq.heappush(self._insert, (token_of(atom), atom))
         self._size += 1
         self.machine.touch()
         if len(self._insert) > self.Mi:
@@ -211,8 +212,8 @@ class ExternalPQ:
         self._insert = []
 
         if self._delete:
-            threshold = self._delete[-1].sort_token()
-            below = [a for a in batch if a.sort_token() <= threshold]
+            threshold = token_of(self._delete[-1])
+            below = [a for a in batch if token_of(a) <= threshold]
             batch = batch[len(below):]
             if below:
                 merged = sorted(self._delete + below)
@@ -368,7 +369,7 @@ class ExternalPQ:
                 return None
             last_bidx = frontier[ridx] - 1
             blk = self.machine.peek(sr.run.addrs[last_bidx])
-            return blk[-1].sort_token()
+            return token_of(blk[-1])
 
         active: dict[int, tuple] = {}
         for ridx in frontier:
@@ -379,7 +380,7 @@ class ExternalPQ:
             if token is None:
                 continue
             buf_full = len(buffer) >= self.Md
-            if not buf_full or token < buffer[-1][0].sort_token():
+            if not buf_full or token < token_of(buffer[-1][0]):
                 active[ridx] = token
         while active:
             ridx = min(active, key=active.get)
@@ -389,10 +390,10 @@ class ExternalPQ:
             for atom in blk:
                 offer(atom, ridx)
             frontier[ridx] = bidx + 1
-            token = blk[-1].sort_token()
+            token = token_of(blk[-1])
             buf_full = len(buffer) >= self.Md
             exhausted = frontier[ridx] >= sr.run.blocks
-            if exhausted or (buf_full and token > buffer[-1][0].sort_token()):
+            if exhausted or (buf_full and token > token_of(buffer[-1][0])):
                 del active[ridx]
             else:
                 active[ridx] = token

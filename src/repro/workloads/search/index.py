@@ -270,8 +270,10 @@ def verify_index(
 ) -> None:
     """Check the on-disk index against a reference build (cost-free).
 
-    Full-mode only: inspection reads payloads straight off the block
-    store, the referee's privilege. Raises
+    Runs on both machine modes: inspection reads the blocks through
+    :meth:`~repro.machine.aem.AEMMachine.collect_output` (the referee's
+    privilege), and every comparison is on keys, skip words and lexicon
+    words, all of which a counting machine's tokens carry. Raises
     :class:`IndexVerificationError` with a pinpointed message.
     """
     ref = reference_index(corpus)

@@ -1,8 +1,8 @@
 """Canonical measurement functions for the search workloads.
 
 Mirrors :mod:`repro.api.measures`: top-level functions with picklable
-arguments, one fresh machine per call, verification in full mode, a
-typed :class:`~repro.machine.cost.CostRecord` out. Registered in
+arguments, one fresh machine per call, verification in both machine
+modes, a typed :class:`~repro.machine.cost.CostRecord` out. Registered in
 :mod:`repro.api.registry` as the ``index_build`` and ``search_query``
 workloads, so the CLI, the experiments, and the cost-oracle server all
 share one cache identity for them.
@@ -18,7 +18,6 @@ from ...core.params import AEMParams
 from ...machine.aem import AEMMachine
 from ...machine.cost import CostRecord
 from ...observe.base import MachineObserver
-from ...sorting.base import COUNTING_SORTERS
 from .corpus import Corpus, corpus_postings, posting_atoms, posting_tokens, query_stream
 from .index import SearchIndex, build_index, verify_index
 from .query import reference_search, run_queries
@@ -66,13 +65,11 @@ def measure_index_build(
 ) -> CostRecord:
     """Build an index over a seeded N-posting corpus; returns cost fields.
 
-    ``counting=True`` requests the payload-free fast path (available for
-    the :data:`~repro.sorting.base.COUNTING_SORTERS`; others fall back to
-    a full machine with identical costs). Verification needs payloads, so
-    counting runs skip it — the paired full-mode runs in the test suite
-    carry the correctness burden.
+    ``counting=True`` runs on the payload-free fast path, under any
+    registered sorter. Verification runs in both modes: the postings,
+    skip and lexicon blocks are compared with the reference index token
+    by token.
     """
-    counting = counting and sorter in COUNTING_SORTERS
     corpus = corpus_postings(
         N,
         n_docs=n_docs,
@@ -84,7 +81,7 @@ def measure_index_build(
         params, slack=slack, observers=observers, counting=counting
     )
     index = _build(machine, corpus, params, fanin=fanin, sorter=sorter)
-    if verify and not counting:
+    if verify:
         verify_index(machine, corpus, index)
     return CostRecord.from_snapshot(machine.snapshot(), peak=machine.mem.peak)
 
@@ -117,7 +114,6 @@ def measure_search_query(
     a ``(N, seed)`` pair names one reproducible instance end to end.
     ``peak_mem`` remains the machine-lifetime peak (the build dominates).
     """
-    counting = counting and sorter in COUNTING_SORTERS
     rng = np.random.default_rng(seed)
     corpus = corpus_postings(
         N, n_docs=n_docs, n_terms=n_terms, zipf_a=zipf_a, rng=rng

@@ -1,16 +1,14 @@
-"""Fixture sorter registry with deliberate counting-safety drift in
-*both* directions: ``dirty_sort`` is wrongly allow-listed and
-``clean_sort`` is wrongly omitted. ``guarded_sort`` is correctly
-listed and must not be flagged."""
+"""Fixture sorter registry: every registered sorter must run on counting
+machines. ``dirty_sort`` reads payloads, so the registry line draws an
+AEM202 finding; ``clean_sort`` and ``guarded_sort`` must not be
+flagged."""
 
 from .clean_sort import clean_sort
 from .dirty_sort import dirty_sort
 from .guarded import guarded_sort
 
-SORTERS = {
+SORTERS = {  # aem-expect: AEM202
     "clean_sort": clean_sort,
     "dirty_sort": dirty_sort,
     "guarded_sort": guarded_sort,
 }
-
-COUNTING_SORTERS = frozenset({"dirty_sort", "guarded_sort"})  # aem-expect: AEM202, AEM202

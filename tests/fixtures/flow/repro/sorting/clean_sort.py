@@ -1,6 +1,5 @@
-"""A sorter that never touches atom payloads: counting-safe, but
-deliberately *missing* from the fixture ``COUNTING_SORTERS`` so AEM202
-flags the under-claim direction."""
+"""A sorter that never touches atom payloads: counting-safe, so AEM202
+must not flag it."""
 
 
 def clean_sort(machine, addrs, params):

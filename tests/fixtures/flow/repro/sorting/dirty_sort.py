@@ -1,6 +1,6 @@
-"""A sorter that reads atom payloads unconditionally, yet is
-deliberately *listed* in the fixture ``COUNTING_SORTERS`` so AEM202
-flags the over-claim direction."""
+"""A sorter that reads atom payloads unconditionally, yet is registered
+in the fixture ``SORTERS``, so AEM202 flags it: every registered sorter
+must run on counting machines."""
 
 
 def dirty_sort(machine, addrs, params):

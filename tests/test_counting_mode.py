@@ -24,10 +24,10 @@ from repro.machine.flash import FlashMachine
 from repro.machine.phantom import PHANTOM, PhantomBlock, PhantomBlockStore, token_of
 from repro.observe.base import MachineObserver
 from repro.observe.trace import TraceRecorder
-from repro.permute.base import PERMUTERS
+from repro.permute.base import PERMUTERS, PermuteVerificationError
 from repro.sanitize.provenance import ProvenanceSanitizer
 from repro.sanitize.suite import attach_sanitizers
-from repro.sorting.base import COUNTING_SORTERS, SORTERS
+from repro.sorting.base import SORTERS, SortVerificationError
 
 P = AEMParams(M=64, B=8, omega=4)
 
@@ -149,10 +149,23 @@ class TestMachineParity:
             wears.append(m.wear())
         assert wears[0] == wears[1]
 
+    def test_collect_output_returns_tokens(self):
+        from repro.atoms.atom import make_atoms
+
+        atoms = make_atoms([5, 3, 9, 1, 7, 2, 8, 6, 4, 0])
+        full, counting = paired_machines()
+        got = counting.collect_output(counting.load_input(atoms))
+        assert got == [a.sort_token() for a in atoms]
+        assert full.collect_output(full.load_input(atoms)) == atoms
+        assert counting.reads == counting.writes == 0  # the referee is free
+
     def test_collect_output_refuses(self):
+        # A block written as a phantom payload has no tokens to verify by.
         _, m = paired_machines()
         addrs = m.load_input(range(8))
-        with pytest.raises(AddressError, match="counting"):
+        m.acquire(4)
+        m.write(addrs[0], PhantomBlock(4))
+        with pytest.raises(AddressError, match="phantom payload"):
             m.collect_output(addrs)
 
     def test_flash_counting_costs_match(self):
@@ -266,13 +279,72 @@ class TestMeasureParity:
         fast = measure_spmxv(algorithm, 64, 2, P, seed=2, counting=True)
         assert fast == full
 
-    def test_unported_sorter_falls_back_to_full_machine(self):
-        # Not in COUNTING_SORTERS: counting is silently dropped, the run
-        # still verifies, and the record matches by construction.
-        assert "aem_heapsort" not in COUNTING_SORTERS
-        full = measure_sort("aem_heapsort", 200, P)
-        fast = measure_sort("aem_heapsort", 200, P, counting=True)
-        assert fast == full
+    @pytest.mark.parametrize("sorter", sorted(SORTERS))
+    def test_every_sorter_runs_on_phantom_store(self, sorter):
+        # No sorter falls back to a full machine when counting is asked.
+        class StoreProbe(MachineObserver):
+            def on_attach(self, core):
+                self.disk = core.disk
+
+        probe = StoreProbe()
+        measure_sort(sorter, 200, P, counting=True, observers=[probe])
+        assert isinstance(probe.disk, PhantomBlockStore)
+
+
+def _swap_two(machine, addrs):
+    """Rewrite the last of ``addrs`` holding two or more tokens with its
+    first two swapped."""
+    assert machine.counting, "the corruption must hit a counting run"
+    addr = next(a for a in reversed(addrs) if machine.block_len(a) > 1)
+    blk = list(machine.read(addr))
+    blk[0], blk[1] = blk[1], blk[0]
+    machine.write(addr, blk)
+
+
+class TestCountingVerification:
+    """A counting run verifies its own output from the stashed tokens, so
+    a corrupted output fails it just as it fails a full run."""
+
+    @pytest.mark.parametrize("sorter", sorted(SORTERS))
+    def test_corrupted_sort_raises(self, sorter, monkeypatch):
+        run = SORTERS[sorter]
+
+        def corrupted(machine, addrs, params):
+            out = run(machine, addrs, params)
+            _swap_two(machine, out)
+            return out
+
+        monkeypatch.setitem(SORTERS, sorter, corrupted)
+        with pytest.raises(SortVerificationError):
+            measure_sort(sorter, 300, P, seed=3, counting=True)
+
+    @pytest.mark.parametrize("permuter", sorted(PERMUTERS))
+    def test_corrupted_permute_raises(self, permuter, monkeypatch):
+        run = PERMUTERS[permuter]
+
+        def corrupted(machine, addrs, perm, params):
+            out = run(machine, addrs, perm, params)
+            _swap_two(machine, out)
+            return out
+
+        monkeypatch.setitem(PERMUTERS, permuter, corrupted)
+        with pytest.raises(PermuteVerificationError):
+            measure_permute(permuter, 160, P, seed=1, counting=True)
+
+    def test_corrupted_index_raises(self, monkeypatch):
+        from repro.workloads.search import measures as search_measures
+        from repro.workloads.search.index import IndexVerificationError
+
+        build = search_measures.build_index
+
+        def corrupted(machine, *args, **kwargs):
+            index = build(machine, *args, **kwargs)
+            _swap_two(machine, max(index.lexicon.values(), key=lambda p: p.df).addrs)
+            return index
+
+        monkeypatch.setattr(search_measures, "build_index", corrupted)
+        with pytest.raises(IndexVerificationError):
+            search_measures.measure_index_build(700, P, seed=13, counting=True)
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +496,14 @@ EVENT_POINTS = [(64, 8, 4), (32, 4, 4), (32, 4, 8), (128, 16, 2)]
 #: (workload, key distribution); the corpus draws its own keys.
 EVENT_WORKLOADS = [
     (w, d)
-    for w in ("aem_mergesort", "pointer_mergesort", "small_sort")
+    for w in (
+        "aem_mergesort",
+        "pointer_mergesort",
+        "aem_samplesort",
+        "aem_heapsort",
+        "aem_pqsort",
+        "small_sort",
+    )
     for d in ("uniform", "few_distinct")
 ] + [("index_build", None)]
 

@@ -4,7 +4,7 @@ The cardinal property pinned here is **conservation**: for every
 registered sorter, permuter, and SpMxV algorithm, the profiler's
 per-path attribution sums exactly to the machine's own cost ledger —
 batched *and* per-event (a ``needs_events`` twin in the same run), on
-full *and* counting machines (where supported), across
+full *and* counting machines, across
 hypothesis-drawn (M, B, omega, N) points.
 On top of that: the export formats (folded stacks, speedscope JSON,
 the top-N table), sweep-level merging, the engine's ``profile=True``
@@ -22,7 +22,7 @@ from repro.core.params import AEMParams
 from repro.engine import ExperimentConfig, SweepEngine
 from repro.machine.aem import AEMMachine
 from repro.permute.base import PERMUTERS
-from repro.sorting.base import COUNTING_SORTERS, SORTERS
+from repro.sorting.base import SORTERS
 from repro.telemetry.profile import (
     WEIGHTS,
     CostProfiler,
@@ -70,7 +70,7 @@ class TestConservation:
         assert prof.totals().writes == rec["Qw"]
         assert prof.totals().q == pytest.approx(rec["Q"], abs=1e-9)
 
-    @pytest.mark.parametrize("sorter", sorted(COUNTING_SORTERS))
+    @pytest.mark.parametrize("sorter", sorted(SORTERS))
     def test_counting_full_parity(self, sorter):
         """Counting machines attribute identically to full machines."""
         full, frec = _profiled("sort", _query("sort", sorter))

@@ -104,16 +104,16 @@ def test_disable_comment_suppresses_analysis_findings() -> None:
     ]
 
 
-def test_aem202_reports_both_drift_directions() -> None:
+def test_aem202_flags_dirty_sort_only() -> None:
+    """Among the fixture sorters only ``dirty_sort`` reaches a payload
+    read in counting mode; the finding points at the registry line."""
     findings = [f for f in analyze_project(FIXTURE_ROOT) if f.rule == "AEM202"]
-    sorter_msgs = [f.message for f in findings if "sorting/base.py" in f.path]
-    assert len(sorter_msgs) == 2
-    assert any("allow-listed" in m and "dirty_sort" in m for m in sorter_msgs)
-    assert any("missing from COUNTING_SORTERS" in m and "clean_sort" in m
-               for m in sorter_msgs)
-    permuter_msgs = [f.message for f in findings if "permute/base.py" in f.path]
-    assert len(permuter_msgs) == 1
-    assert "counting mode" in permuter_msgs[0]
+    sorter = [f for f in findings if "sorting/base.py" in f.path]
+    assert [f.symbol for f in sorter] == ["dirty_sort"]
+    assert "sorter 'dirty_sort' must run on counting machines" in sorter[0].message
+    assert "dirty_sort.py" in sorter[0].message  # the witness payload site
+    permuter = [f for f in findings if "permute/base.py" in f.path]
+    assert [f.symbol for f in permuter] == ["leaky"]
 
 
 def test_aem202_guarded_payload_reads_are_safe() -> None:
@@ -127,26 +127,18 @@ def test_aem202_guarded_payload_reads_are_safe() -> None:
 
 
 # ----------------------------------------------------------------------
-# The real tree: clean, and the inference agrees with the registry.
+# The real tree: clean, and every registered entry is counting-safe.
 # ----------------------------------------------------------------------
-def test_counting_inference_exactly_matches_registry() -> None:
-    """Acceptance gate: the inferred counting-safe sorter set must equal
-    ``COUNTING_SORTERS`` — drift in either direction fails here."""
-    from repro.sorting.base import COUNTING_SORTERS, SORTERS
+def test_all_registered_sorters_are_counting_safe() -> None:
+    from repro.sorting.base import SORTERS
 
-    inferred = infer_counting_safe(ProjectModel(default_lint_root()))
-    inferred_safe = {name for name in SORTERS if inferred.get(name)}
-    missing = set(COUNTING_SORTERS) - inferred_safe
-    extra = inferred_safe - set(COUNTING_SORTERS)
-    assert not missing, (
-        f"COUNTING_SORTERS lists {sorted(missing)} but the analysis sees "
-        "payload operations reachable in counting mode — either guard "
-        "them or drop the entries"
-    )
-    assert not extra, (
-        f"{sorted(extra)} are inferred counting-safe but missing from "
-        "COUNTING_SORTERS in src/repro/sorting/base.py — add them"
-    )
+    sites = infer_payload_sites(ProjectModel(default_lint_root()))
+    for name in SORTERS:
+        assert name in sites
+        assert not sites[name], (
+            f"sorter {name!r} reaches payload ops in counting mode: "
+            f"{[f'{s.path}:{s.line}' for s in sites[name]]}"
+        )
 
 
 def test_all_registered_permuters_are_counting_safe() -> None:
