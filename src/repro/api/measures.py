@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..atoms.atom import Atom
+from ..atoms.atom import make_atoms, make_tokens
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
 from ..machine.cost import CostRecord, CostSnapshot
@@ -48,17 +48,20 @@ def measure_sort(
     """Run a registered sorter on a fresh machine; returns cost fields.
 
     ``counting=True`` runs on the payload-free fast path, which every
-    registered sorter supports. Verification runs in both modes: a
-    counting run is checked on its output's ``(key, uid)`` tokens.
+    registered sorter supports: the input is built as ``(key, uid)``
+    tokens, and no atom is ever constructed. Verification runs in both
+    modes: a counting run is checked on its output's tokens.
     """
-    atoms = sort_input(N, distribution, np.random.default_rng(seed))
+    items = sort_input(
+        N, distribution, np.random.default_rng(seed), counting=counting
+    )
     machine = AEMMachine.for_algorithm(
         params, slack=slack, observers=observers, counting=counting
     )
-    addrs = machine.load_input(atoms)
+    addrs = machine.load_input(items)
     out = SORTERS[sorter](machine, addrs, params)
     if verify:
-        verify_sorted_output(machine, atoms, out)
+        verify_sorted_output(machine, items, out)
     return _cost_fields(machine.snapshot(), peak=machine.mem.peak)
 
 
@@ -77,20 +80,21 @@ def measure_permute(
     """Run a registered permuter on a fresh machine; returns cost fields.
 
     Every registered permuter supports ``counting=True`` (payload-free fast
-    path). Verification runs in both modes; a counting run is checked on
-    its output's uids (see
+    path, its input built as ``(key, uid)`` tokens). Verification runs in
+    both modes; a counting run is checked on its output's uids (see
     :func:`~repro.permute.base.verify_permutation_output`).
     """
     rng = np.random.default_rng(seed)
-    atoms = [Atom(int(k), i) for i, k in enumerate(rng.integers(0, 8 * N, N))]
+    keys = rng.integers(0, 8 * N, N).tolist()
+    items = make_tokens(keys) if counting else make_atoms(keys)
     perm = permutation(N, family, rng)
     machine = AEMMachine.for_algorithm(
         params, slack=slack, observers=observers, counting=counting
     )
-    addrs = machine.load_input(atoms)
+    addrs = machine.load_input(items)
     out = PERMUTERS[permuter](machine, addrs, perm, params)
     if verify:
-        verify_permutation_output(machine, atoms, out, perm)
+        verify_permutation_output(machine, items, out, perm)
     return _cost_fields(machine.snapshot(), peak=machine.mem.peak)
 
 
@@ -109,7 +113,8 @@ def measure_spmxv(
 ) -> CostRecord:
     """Run an SpMxV algorithm on a fresh machine; returns cost fields.
 
-    Both algorithms support ``counting=True`` (payload-free fast path).
+    Both algorithms support ``counting=True`` (payload-free fast path;
+    :func:`~repro.spmxv.matrix.load_matrix` places the entries' tokens).
     Verification is full-mode only: the output vector's values are
     payload, which a counting machine never computes.
     """

@@ -28,7 +28,7 @@ command line, an experiment grid, or an HTTP request body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..core.params import AEMParams

@@ -19,6 +19,7 @@ every sort stable-checkable.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Iterable, Optional, Sequence
 
 
@@ -73,6 +74,12 @@ def make_atoms(keys: Iterable[Any], values: Optional[Sequence[Any]] = None) -> l
     if len(values) != len(keys):
         raise ValueError("values must match keys in length")
     return [Atom(k, i, v) for i, (k, v) in enumerate(zip(keys, values))]
+
+
+def make_tokens(keys: Iterable[Any]) -> list:
+    """The ``(key, uid)`` tokens of :func:`make_atoms`'s atoms, built
+    without them: the form a counting machine holds its input in."""
+    return list(zip(keys, count()))
 
 
 def keys_of(atoms: Iterable[Atom]) -> list:

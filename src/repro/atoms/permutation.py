@@ -12,7 +12,7 @@ hashing of large instances.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -12,7 +12,7 @@ onto a config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .cache import ResultCache, default_cache_dir
 from .core import SweepEngine

@@ -10,8 +10,6 @@ the empirical content of "the layout is part of the problem".
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.tables import format_table
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine

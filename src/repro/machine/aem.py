@@ -46,13 +46,7 @@ from .core import MachineCore
 from .cost import CostCounter, CostSnapshot
 from .errors import AddressError, BlockSizeError
 from .internal import InternalMemory
-from .phantom import (
-    PhantomBlock,
-    PhantomBlockStore,
-    freeze_tokens,
-    is_phantom_payload,
-    token_of,
-)
+from .phantom import PhantomBlock, PhantomBlockStore, input_tokens, is_phantom_payload
 from ..trace.ops import Op
 
 
@@ -87,11 +81,14 @@ class AEMMachine:
         work unchanged; observers that read atom *contents* declare
         ``needs_payloads = True`` and are rejected at attach. Data-driven
         algorithms still make bit-identical decisions through the token
-        stash: ``write``/``load_input`` remember each block's *scheduling
-        tokens* (``Atom.sort_token()`` for atoms, the value itself for
-        pointer words and numbers), and ``read``/``peek`` hand those back.
-        :meth:`collect_output` returns them too, so outputs are verified
-        on both machine modes.
+        stash. An atom's *scheduling token* is its ``(key, uid)`` pair
+        (pointer words and numbers are their own token), and a counting
+        machine handles atoms only in that form: :meth:`load_input` is
+        the one place anything is converted (an input that already is
+        tokens, as every measure builds it, passes through), ``write``
+        stashes exactly what it is given, and ``read``/``peek`` and
+        :meth:`collect_output` hand the stashed tuple back, so outputs
+        are verified on both machine modes.
     flush_every:
         Event-bus batch flush interval, passed through to
         :class:`~repro.machine.core.MachineCore` (``None`` keeps the
@@ -111,20 +108,14 @@ class AEMMachine:
         self.params = params
         self.counting = counting
         self._B = params.B  # hot-path cache (params is frozen)
-        #: Counting mode only: per-address *converted* scheduling tokens
-        #: for blocks whose (token-level) contents the writer knew (see
-        #: :func:`~repro.machine.phantom.freeze_tokens`). Blocks written
-        #: as phantom payloads have no entry and read back as
-        #: :class:`~repro.machine.phantom.PhantomBlock`.
+        #: Counting mode only: per-address tuple of what the block holds
+        #: — its input tokens, or exactly the items last written to it.
+        #: Blocks written as phantom payloads have no entry and read back
+        #: as :class:`~repro.machine.phantom.PhantomBlock`. Tuples of
+        #: untrackable values leave CPython's GC scan sets at the first
+        #: pass, which keeps per-I/O GC overhead small on runs that
+        #: write millions of blocks.
         self._tokens: dict[int, tuple] = {}
-        #: Raw snapshots of written-but-never-read blocks, converted into
-        #: ``_tokens`` on first read. Kept as a separate dict (rather than
-        #: a list-vs-tuple type tag in ``_tokens``) so the snapshots can
-        #: be immutable tuples: CPython untracks tuples of untrackable
-        #: values at the first GC pass, which keeps the collector's
-        #: scan sets — and hence per-I/O GC overhead on streaming runs
-        #: that write millions of blocks — small.
-        self._raw: dict[int, tuple] = {}
         store = PhantomBlockStore(params.B) if counting else BlockStore(params.B)
         self.core = MachineCore(
             store,
@@ -206,40 +197,19 @@ class AEMMachine:
     # ------------------------------------------------------------------
     # Core I/O operations.
     # ------------------------------------------------------------------
-    def _stash_tokens(self, addr: int) -> Optional[tuple]:
-        """The stashed tokens of ``addr``, converting a raw snapshot once.
-
-        ``write`` stores a raw tuple snapshot (one C-speed copy, or no
-        copy at all when the written payload is already a tuple); the
-        O(B) token conversion happens here, on the block's first read,
-        and the converted tuple moves to ``_tokens``. Write-only blocks —
-        most of a streaming workload's output — never convert at all.
-        """
-        stashed = self._tokens.get(addr)
-        if stashed is None:
-            raw = self._raw.pop(addr, None)
-            if raw is not None:
-                stashed = freeze_tokens(raw)
-                self._tokens[addr] = stashed
-        return stashed
-
     def read(self, addr: int) -> list:
         """Read one block (cost 1); its atoms become resident internally.
 
-        On a counting machine the returned sequence holds the block's
-        scheduling tokens when the writer knew them (so data-driven reads
-        still steer identically), or a sized
-        :class:`~repro.machine.phantom.PhantomBlock` otherwise.
+        On a counting machine the returned sequence is the block's
+        stashed tuple — its input tokens or what was last written to it —
+        so data-driven reads still steer identically, or a sized
+        :class:`~repro.machine.phantom.PhantomBlock` for a block written
+        as a phantom payload.
         """
         if self.counting:
-            # _stash_tokens, inlined: one dict probe on the hot path.
-            stashed = self._tokens.get(addr)
-            if stashed is None:
-                raw = self._raw.pop(addr, None)
-                if raw is not None:
-                    stashed = freeze_tokens(raw)
-                    self._tokens[addr] = stashed
-            return self.core.read_block(addr, self._read_cost, items=stashed)
+            return self.core.read_block(
+                addr, self._read_cost, items=self._tokens.get(addr)
+            )
         return self.core.read_block(addr, self._read_cost)
 
     def peek(self, addr: int) -> list:
@@ -252,7 +222,7 @@ class AEMMachine:
         """
         if self.counting:
             return self.core.read_block(
-                addr, self._read_cost, keep=False, items=self._stash_tokens(addr)
+                addr, self._read_cost, keep=False, items=self._tokens.get(addr)
             )
         return self.core.read_block(addr, self._read_cost, keep=False)
 
@@ -270,15 +240,11 @@ class AEMMachine:
                 cls is not list and cls is not tuple and is_phantom_payload(items)
             ):
                 self._tokens.pop(addr, None)
-                self._raw.pop(addr, None)
             else:
-                # Hot path: stash one raw snapshot (a C-speed shallow
-                # copy; free when the payload is already a tuple) and let
-                # _stash_tokens pay the per-item tokenization only if the
-                # block is ever read back.
-                self._raw[addr] = tuple(items)
-                if addr in self._tokens:
-                    del self._tokens[addr]
+                # Hot path: one C-speed shallow copy (none when the payload
+                # already is a tuple). A counting algorithm writes only
+                # tokens it read or built, so nothing is converted here.
+                self._tokens[addr] = tuple(items)
         self.core.write_block(addr, items, self._write_cost)
 
     def write_fresh(self, items: Sequence) -> int:
@@ -337,7 +303,6 @@ class AEMMachine:
         self.disk.free(addr)
         if self.counting:
             self._tokens.pop(addr, None)
-            self._raw.pop(addr, None)
 
     def block_len(self, addr: int) -> int:
         """Number of atoms stored in block ``addr`` (cost-free metadata).
@@ -357,17 +322,19 @@ class AEMMachine:
         """Place the problem input contiguously in external memory.
 
         Counting machines stash each input block's scheduling tokens here,
-        so the very first data-driven read already sees real tokens.
+        so the very first data-driven read already sees real tokens. This
+        is the only place a counting machine converts items to tokens
+        (:func:`~repro.machine.phantom.input_tokens`): an input of atoms
+        is converted once, an input of tokens not at all.
         """
         if not self.counting:
             return self.disk.load_items(items)
-        items = list(items)
-        addrs = self.disk.load_items(items)
-        B = self.params.B
+        tokens = input_tokens(items)
+        addrs = self.disk.load_items(tokens)
+        B = self._B
+        stash = self._tokens
         for i, addr in enumerate(addrs):
-            self._tokens[addr] = tuple(
-                token_of(it) for it in items[i * B : (i + 1) * B]
-            )
+            stash[addr] = tokens[i * B : (i + 1) * B]
         return addrs
 
     def collect_output(self, addrs: Iterable[int]) -> list:
@@ -383,7 +350,7 @@ class AEMMachine:
             return self.disk.dump_items(addrs)
         out: list = []
         for addr in addrs:
-            tokens = self._stash_tokens(addr)
+            tokens = self._tokens.get(addr)
             if tokens is not None:
                 out.extend(tokens)
             elif self.block_len(addr):

@@ -21,8 +21,11 @@ one uniform event stream regardless of which model produced it.
 Batchable events (read/write/acquire/release/touch) accumulate into one
 reused :class:`~repro.observe.batch.EventBatch` of columnar parallel
 arrays and are *flushed* to consumers at phase enter/exit, round
-boundaries, attach/detach, every ``flush_every`` events, and on explicit
-:meth:`flush_events` calls. Observers declaring
+boundaries, attach/detach, every ``flush_every`` events, on explicit
+:meth:`flush_events` calls, and when the core is finalized (observers
+hold their core weakly, so a finished machine is freed as soon as its
+last reference goes, and an observer that outlives it still reads every
+event). Observers declaring
 ``needs_events``/``needs_payloads`` keep exact synchronous per-event
 delivery (real payloads included); every other observer with a batchable
 handler receives whole batches through ``on_batch`` — its own vectorized
@@ -115,6 +118,11 @@ class MachineCore:
         *,
         flush_every: int | None = None,
     ):
+        # The bus state comes first: __del__ flushes, and must find it even
+        # when a later argument check fails.
+        self.batch = EventBatch()
+        self._flushing = False
+        self._on_batch: list = []  # bound on_batch methods, attach order
         self.disk = disk
         self.mem = mem
         # Counting-mode cores sit on a PhantomBlockStore and carry no atom
@@ -128,9 +136,6 @@ class MachineCore:
         self.io_count = 0  # total I/O events emitted (reads + writes)
         self.last_drained = 0  # slots drained by the most recent round boundary
         self.observers: list[MachineObserver] = []
-        self.batch = EventBatch()
-        self._flushing = False
-        self._on_batch: list = []  # bound on_batch methods, attach order
         self._buffering = False  # someone consumes batches
         self._record_columns = False  # some consumer needs the columns
         for name in EVENTS:
@@ -180,6 +185,12 @@ class MachineCore:
         hook = getattr(observer, "on_detach", None)
         if hook is not None:
             hook(self)
+
+    def __del__(self) -> None:
+        # Observers hold their core weakly, so a finished machine is freed
+        # by reference counting while its observers may live on; hand them
+        # what is still buffered so their readouts stay exact.
+        self.flush_events()
 
     def _rebuild_dispatch(self) -> None:
         """Recompute every dispatch list from ``self.observers``.

@@ -41,7 +41,7 @@ from .blockstore import BlockStore
 from .core import MachineCore
 from .errors import AddressError, BlockSizeError, ModelViolationError
 from .internal import InternalMemory
-from .phantom import PhantomBlockStore, freeze_tokens, is_phantom_payload, token_of
+from .phantom import PhantomBlockStore, input_tokens, is_phantom_payload
 
 
 class FlashMachine:
@@ -64,7 +64,8 @@ class FlashMachine:
     counting:
         Payload-free fast path, mirroring
         :class:`~repro.machine.aem.AEMMachine`'s: the store tracks only
-        occupancies, writes stash scheduling tokens, and the event stream
+        occupancies, ``load_input`` stashes the input's scheduling tokens,
+        writes stash exactly what they write, and the event stream
         (addresses, lengths, volumes) is identical to a full run. Note the
         Section 4 trace passes (round conversion, flash reduction) replay
         *recorded* programs and therefore need payloads; counting flash
@@ -93,11 +94,9 @@ class FlashMachine:
         self.Br = Br
         self.Bw = Bw
         self.counting = counting
-        #: Converted token stash / raw write snapshots, exactly as on
-        #: :class:`~repro.machine.aem.AEMMachine` (see its field docs):
-        #: raw snapshots are immutable tuples so GC untracks them.
+        #: Counting mode only: the token stash, exactly as on
+        #: :class:`~repro.machine.aem.AEMMachine` (see its field docs).
         self._tokens: dict[int, tuple] = {}
-        self._raw: dict[int, tuple] = {}
         self.core = MachineCore(
             PhantomBlockStore(Bw) if counting else BlockStore(Bw),
             # The model does not enforce a capacity discipline of its own;
@@ -212,13 +211,8 @@ class FlashMachine:
         if self.counting:
             if is_phantom_payload(items):
                 self._tokens.pop(addr, None)
-                self._raw.pop(addr, None)
             else:
-                # Raw snapshot; tokenized lazily on first read_small (see
-                # AEMMachine.write / phantom.freeze_tokens).
-                self._raw[addr] = tuple(items)
-                if addr in self._tokens:
-                    del self._tokens[addr]
+                self._tokens[addr] = tuple(items)
         self.disk.set(addr, items)
         self.core.emit_write(addr, self.disk.get(addr), self.Bw)
 
@@ -237,14 +231,7 @@ class FlashMachine:
             raise ModelViolationError(
                 f"read block index {j} out of range for Bw/Br={self.reads_per_write_block}"
             )
-        items = None
-        if self.counting:
-            items = self._tokens.get(addr)
-            if items is None:
-                raw = self._raw.pop(addr, None)
-                if raw is not None:
-                    items = freeze_tokens(raw)
-                    self._tokens[addr] = items
+        items = self._tokens.get(addr) if self.counting else None
         if items is None:
             # On a counting machine without stashed tokens this is a
             # PhantomBlock, whose slices are (sized) phantom blocks too.
@@ -285,12 +272,11 @@ class FlashMachine:
     def load_input(self, items: Sequence) -> list[int]:
         if not self.counting:
             return self.disk.load_items(items)
-        items = list(items)
-        addrs = self.disk.load_items(items)
+        tokens = input_tokens(items)
+        addrs = self.disk.load_items(tokens)
+        Bw = self.Bw
         for i, addr in enumerate(addrs):
-            self._tokens[addr] = tuple(
-                token_of(it) for it in items[i * self.Bw : (i + 1) * self.Bw]
-            )
+            self._tokens[addr] = tokens[i * Bw : (i + 1) * Bw]
         return addrs
 
     def collect_output(self, addrs: Sequence[int]) -> list:

@@ -115,8 +115,8 @@ def is_phantom_payload(items) -> bool:
 #: attribute lookup on every one of them.
 _SELF_TOKEN_TYPES = (tuple, int, float, str, bool)
 
-#: The same types as an exact-type set, for per-item fast paths where even
-#: the isinstance call is measurable (a subclass just falls through to
+#: The same types as an exact-type set, for the whole-input check of
+#: :func:`input_tokens` (a subclass just falls through to
 #: :func:`token_of`, which handles it correctly).
 SELF_TOKEN_TYPES = frozenset(_SELF_TOKEN_TYPES)
 
@@ -136,20 +136,19 @@ def token_of(item):
     return st() if callable(st) else item
 
 
-def freeze_tokens(items) -> tuple:
-    """Tokenize a whole written payload into an immutable stash entry.
+def input_tokens(items) -> tuple:
+    """A problem input as the scheduling tokens a counting machine stashes.
 
-    The machines' token stashes store either this converted tuple or a
-    raw ``list`` snapshot of the written items; the list form defers this
-    O(B) per-item conversion until the block is first *read*, so blocks
-    that are written and never read back (most of a streaming workload's
-    output) never pay it. Deferral is exact because scheduling tokens are
-    immutable values derived from immutable atom identity — converting at
-    read time yields the same tuple a write-time conversion would have.
+    Inputs built for a counting machine already are tokens (the measures
+    generate ``(key, uid)`` pairs directly), and one C-level type scan
+    passes them through untouched. Any other input — atoms from tests
+    and experiments that build machines directly — is converted once,
+    item by item, through :func:`token_of`.
     """
-    return tuple(
-        it if type(it) in SELF_TOKEN_TYPES else token_of(it) for it in items
-    )
+    items = tuple(items)
+    if SELF_TOKEN_TYPES.issuperset(map(type, items)):
+        return items
+    return tuple(map(token_of, items))
 
 
 class PhantomBlockStore(BlockStore):
@@ -158,9 +157,15 @@ class PhantomBlockStore(BlockStore):
     The interface is the full store's; the difference is representational:
     ``_blocks[addr]`` holds an ``int`` occupancy instead of an atom tuple,
     ``get`` returns a :class:`PhantomBlock`, and the bulk verification
-    helper ``dump_items`` refuses to run (there is nothing to dump). A
-    counting machine verifies its output from its token stash instead
-    (:meth:`~repro.machine.aem.AEMMachine.collect_output`).
+    helper ``dump_items`` refuses to run (there is nothing to dump).
+
+    The contents live beside the store, in the owning machine's token
+    stash: a tuple of exactly what each block was last written with
+    (tokens, pointer words, numbers) or, for the input, the tokens
+    :func:`input_tokens` made once at ``load_input``. Reads and
+    :meth:`~repro.machine.aem.AEMMachine.collect_output` hand those
+    tuples back unchanged; a block written as a phantom payload has no
+    entry and reads as a :class:`PhantomBlock`.
     """
 
     #: Machines and the core use this to pick payload-free code paths.
@@ -192,11 +197,11 @@ class PhantomBlockStore(BlockStore):
         counts[addr] = counts.get(addr, 0) + 1
 
     def load_items(self, items: Iterable) -> list[int]:
-        items = list(items)
-        nblocks = max(1, -(-len(items) // self.B)) if items else 0
-        addrs = self.allocate(nblocks)
+        # Only the count matters; a list or tuple input is not copied.
+        n = len(items) if isinstance(items, (list, tuple)) else len(list(items))
+        addrs = self.allocate(-(-n // self.B))
         for i, addr in enumerate(addrs):
-            self._blocks[addr] = min(self.B, len(items) - i * self.B)
+            self._blocks[addr] = min(self.B, n - i * self.B)
         return addrs
 
     def dump_items(self, addrs: Iterable[int]) -> list:

@@ -75,7 +75,8 @@ an observer participates:
 
 from __future__ import annotations
 
-from typing import Sequence
+import weakref
+from typing import Optional, Sequence
 
 from .batch import KIND_ACQUIRE, KIND_READ, KIND_TOUCH, KIND_WRITE
 
@@ -97,7 +98,10 @@ class MachineObserver:
     Subclass and override the events you need. ``on_attach`` /
     ``on_detach`` are lifecycle hooks, not dispatched events: they run
     once when the observer joins/leaves a machine core and receive the
-    core itself (e.g. to inspect its block store or parameters).
+    core itself (e.g. to inspect its block store or parameters). The
+    default ``on_attach`` keeps a *weak* reference to the core for
+    :meth:`flush_core`, so an observer never keeps a finished machine
+    alive.
     """
 
     #: Set True in subclasses whose handlers read atom contents (not just
@@ -146,11 +150,27 @@ class MachineObserver:
             else:
                 on_release(length)
 
-    def on_attach(self, core) -> None:  # pragma: no cover - trivial
-        pass
+    #: Weak reference to the attached core (``None`` while detached).
+    _core_ref: Optional[weakref.ReferenceType] = None
 
-    def on_detach(self, core) -> None:  # pragma: no cover - trivial
-        pass
+    def on_attach(self, core) -> None:
+        self._core_ref = weakref.ref(core)
+
+    def on_detach(self, core) -> None:
+        self._core_ref = None
+
+    def flush_core(self) -> None:
+        """Deliver the attached core's buffered events (readouts call this).
+
+        A batch consumer's totals trail the run by whatever the core still
+        buffers; flushing first makes every readout exact. A core that is
+        gone flushed itself when it was finalized, so there is nothing
+        left to deliver.
+        """
+        ref = self._core_ref
+        core = ref() if ref is not None else None
+        if core is not None:
+            core.flush_events()
 
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         pass

@@ -18,7 +18,9 @@ Under batched dispatch this observer is an aggregates-only batch consumer
 batch's read/write/touch totals to the counter, attributed to the
 innermost phase — exact, because phase boundaries force a flush. Every
 readout path (the properties and ``snapshot()``/``describe()``) first
-flushes the owning core, so totals read back exact at any moment.
+flushes the owning core (held weakly, see
+:meth:`~repro.observe.base.MachineObserver.flush_core`), so totals read
+back exact at any moment.
 """
 
 from __future__ import annotations
@@ -52,21 +54,6 @@ class CostObserver(MachineObserver):
         # they are the read/write I/O volumes.
         self._read_cost: float = 0
         self._write_cost: float = 0
-        self._core = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle + flush-on-readout.
-    # ------------------------------------------------------------------
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
-
-    def _sync(self) -> None:
-        core = self._core
-        if core is not None:
-            core.flush_events()
 
     # ------------------------------------------------------------------
     # Per-event handlers (``needs_events`` delivery; the reference the
@@ -109,27 +96,27 @@ class CostObserver(MachineObserver):
     # ------------------------------------------------------------------
     @property
     def counter(self) -> CostCounter:
-        self._sync()
+        self.flush_core()
         return self._counter
 
     @property
     def read_cost(self) -> float:
-        self._sync()
+        self.flush_core()
         return self._read_cost
 
     @read_cost.setter
     def read_cost(self, value: float) -> None:
-        self._sync()
+        self.flush_core()
         self._read_cost = value
 
     @property
     def write_cost(self) -> float:
-        self._sync()
+        self.flush_core()
         return self._write_cost
 
     @write_cost.setter
     def write_cost(self, value: float) -> None:
-        self._sync()
+        self.flush_core()
         self._write_cost = value
 
     @property
@@ -147,14 +134,14 @@ class CostObserver(MachineObserver):
     @property
     def total_cost(self) -> float:
         """Sum of per-event costs (the flash model's total volume)."""
-        self._sync()
+        self.flush_core()
         return self._read_cost + self._write_cost
 
     def snapshot(self) -> CostSnapshot:
         return self.counter.snapshot()
 
     def reset(self) -> None:
-        self._sync()
+        self.flush_core()
         self._counter.reset()
         self._read_cost = 0
         self._write_cost = 0

@@ -78,17 +78,10 @@ class ProgressObserver(MachineObserver):
         self.rounds = 0
         self.phases = PhaseStack()
         self._pending = 0
-        self._core = None
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
-
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         self.reads += 1
         self._tick()
@@ -151,8 +144,7 @@ class ProgressObserver(MachineObserver):
         the *visited* nested paths (``phases=sort/merge,...``) instead of
         the long-empty current stack.
         """
-        if self._core is not None:
-            self._core.flush_events()
+        self.flush_core()
         line = self._line()
         if self.phases.paths:
             line += f" phases={self.phases.render_paths(limit=8)}"

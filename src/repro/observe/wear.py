@@ -34,13 +34,6 @@ class WearMap(MachineObserver):
 
     def __init__(self):
         self._counts: Dict[int, int] = {}
-        self._core = None
-
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
 
     def on_write(self, addr: int, items: Sequence, cost: float) -> None:
         self._counts[addr] = self._counts.get(addr, 0) + 1
@@ -60,9 +53,7 @@ class WearMap(MachineObserver):
     @property
     def counts(self) -> Dict[int, int]:
         """The per-block write counts (buffered events flushed first)."""
-        core = self._core
-        if core is not None:
-            core.flush_events()
+        self.flush_core()
         return self._counts
 
     @property

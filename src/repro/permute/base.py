@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Sequence
 
-from ..atoms.atom import Atom, same_atom_multiset
+from ..atoms.atom import same_atom_multiset
 from ..atoms.permutation import Permutation, verify_permuted
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
@@ -28,14 +28,16 @@ class PermuteVerificationError(AssertionError):
 
 def verify_permutation_output(
     machine: AEMMachine,
-    input_atoms: Sequence[Atom],
+    input_atoms: Sequence,
     output_addrs: Sequence[int],
     perm: Permutation,
-) -> list[Atom]:
+) -> list:
     """Check ``output[perm[i]].uid == input[i].uid`` and atom preservation.
 
-    The uid placement is checked on both machine modes; a counting
-    machine's output is ``(key, uid)`` tokens. The key check is full-only:
+    ``input_atoms`` is the input in the form the machine holds it: atoms
+    on a full machine, ``(key, uid)`` tokens on a counting one, whose
+    output is tokens too. The uid placement is checked on both machine
+    modes. The key check is full-only:
     :func:`~repro.permute.sort_based.permute_sort_based` leaves a counting
     token keyed by its destination, as it has no original key to restore.
     """
@@ -46,7 +48,7 @@ def verify_permutation_output(
         )
     uid = itemgetter(1) if machine.counting else attrgetter("uid")
     if not verify_permuted(
-        perm, [a.uid for a in input_atoms], list(map(uid, out))
+        perm, list(map(uid, input_atoms)), list(map(uid, out))
     ):
         raise PermuteVerificationError("output does not realize the permutation")
     if not machine.counting and not same_atom_multiset(input_atoms, out):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
 from ..machine.streams import BlockReader, BlockWriter
 from ..spmxv.semiring import REAL, Semiring

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.params import AEMParams, ceil_div
 from ..trace.analysis import liveness_intervals, segment_rounds
 from ..trace.ops import Op, ReadOp, WriteOp
 from ..trace.program import Program

@@ -14,7 +14,8 @@ Verification is cost-free (the referee reading the output through
 and runs in both modes: the output must be sorted by the strict
 ``(key, uid)`` order and consist of *exactly* the input atoms (the
 indivisibility contract of Section 4). A token is that identity, so a
-counting run is checked as fully as a full one.
+counting run — whose input and output are both tokens — is checked as
+fully as a full one.
 """
 
 from __future__ import annotations
@@ -57,24 +58,30 @@ class SortVerificationError(AssertionError):
 
 def verify_sorted_output(
     machine: AEMMachine,
-    input_atoms: Sequence[Atom],
+    input_atoms: Sequence,
     output_addrs: Sequence[int],
-) -> list[Atom]:
+) -> list:
     """Check sortedness and atom-multiset preservation; returns the output.
 
     One comparison decides both: the output's ``(key, uid)`` tokens must
-    equal the sorted input tokens. A counting machine's output already is
-    those tokens (and is what this returns there). Raises
-    :class:`SortVerificationError` with a pinpointed message on any
-    violation. Inspection is cost-free by design.
+    equal the sorted input tokens. ``input_atoms`` is the input in the
+    form the machine holds it: atoms on a full machine, their tokens on
+    a counting one, whose output already is tokens (and is what this
+    returns there). Raises :class:`SortVerificationError` with a
+    pinpointed message on any violation. Inspection is cost-free by
+    design.
     """
     out = machine.collect_output(output_addrs)
     if len(out) != len(input_atoms):
         raise SortVerificationError(
             f"output holds {len(out)} atoms, input had {len(input_atoms)}"
         )
-    got = out if machine.counting else list(map(Atom.sort_token, out))
-    if got != sorted(map(Atom.sort_token, input_atoms)):
+    if machine.counting:
+        got, want = out, sorted(input_atoms)
+    else:
+        got = list(map(Atom.sort_token, out))
+        want = sorted(map(Atom.sort_token, input_atoms))
+    if got != want:
         bad = next((i for i in range(len(got) - 1) if got[i] > got[i + 1]), None)
         if bad is not None:
             raise SortVerificationError(

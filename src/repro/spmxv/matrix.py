@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..atoms.atom import Atom
+from ..atoms.atom import Atom, make_tokens
 from ..machine.aem import AEMMachine
 from .semiring import REAL, Semiring
 
@@ -111,6 +111,15 @@ class Conformation:
                 p += 1
         return out
 
+    def column_major_tokens(self) -> list[tuple]:
+        """The entries' ``((j, i), p)`` tokens in column-major order.
+
+        Exactly the ``sort_token()`` of each :meth:`column_major_entries`
+        atom, built without the atoms or the values: the input a counting
+        machine holds.
+        """
+        return make_tokens((j, i) for j, rows in enumerate(self.cols) for i in rows)
+
     def positions_by_row(self) -> list[list[tuple[int, int]]]:
         """For each row i, the ``(column-major position, column)`` of its
         entries — derived from the conformation (problem metadata), which
@@ -137,7 +146,12 @@ class Conformation:
 def load_matrix(
     machine: AEMMachine, conf: Conformation, values: Sequence[float]
 ) -> list[int]:
-    """Place the column-major triples into external memory (cost-free)."""
+    """Place the column-major triples into external memory (cost-free).
+
+    A counting machine gets the entries' tokens, never their atoms.
+    """
+    if machine.counting:
+        return machine.load_input(conf.column_major_tokens())
     return machine.load_input(conf.column_major_entries(values))
 
 

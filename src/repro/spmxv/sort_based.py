@@ -34,7 +34,7 @@ from ..machine.aem import AEMMachine
 from ..machine.phantom import PHANTOM
 from ..machine.streams import BlockReader, BlockWriter
 from ..sorting.mergesort import sort_run
-from ..sorting.runs import Run, run_of_input, split_run
+from ..sorting.runs import Run, split_run
 from .matrix import Conformation
 from .naive import _BlockCache
 from .semiring import REAL, Semiring

@@ -42,7 +42,7 @@ import heapq
 from typing import Optional
 
 from ..atoms.atom import Atom
-from ..core.params import AEMParams, ceil_div
+from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
 from ..machine.errors import MachineError
 from ..machine.phantom import token_of

@@ -21,8 +21,6 @@ Slot discipline as everywhere: push takes ownership, pop returns it;
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
 from ..machine.errors import MachineError

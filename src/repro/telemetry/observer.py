@@ -68,24 +68,12 @@ class MetricsObserver(MachineObserver):
         # Per-block write counts, folded into the wear histogram at
         # readout (a percentile over *final* counts, not running ones).
         self._block_writes: Dict[int, int] = {}
-        self._core = None
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
     def _phase(self) -> str:
         return self._phase_stack[-1] if self._phase_stack else NO_PHASE
-
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
-
-    def _sync(self) -> None:
-        core = self._core
-        if core is not None:
-            core.flush_events()
 
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         phase = self._phase()
@@ -137,7 +125,7 @@ class MetricsObserver(MachineObserver):
     # ------------------------------------------------------------------
     def wear_histogram(self):
         """Per-block write counts as a :class:`~repro.telemetry.metrics.Histogram`."""
-        self._sync()
+        self.flush_core()
         hist = self.registry.histogram(
             "machine_block_writes", "writes per external block (wear)"
         )
@@ -147,7 +135,7 @@ class MetricsObserver(MachineObserver):
 
     def per_phase(self) -> Dict[str, dict]:
         """``{phase: {reads, writes, read_cost, write_cost, touches}}``."""
-        self._sync()
+        self.flush_core()
         out: Dict[str, dict] = {}
         for family, field in (
             (self._reads, "reads"),

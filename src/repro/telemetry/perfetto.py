@@ -263,18 +263,12 @@ class PerfettoObserver(MachineObserver):
         self._read_cost = 0.0
         self._write_cost = 0.0
         self._open_phases: list[str] = []
-        self._core = None
         self.builder.process_name(pid, label)
         self.builder.thread_name(pid, tid, "machine events")
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
     def _sample_counters(self) -> None:
         io = self._reads + self._writes
         if io % self.every:
@@ -344,8 +338,7 @@ class PerfettoObserver(MachineObserver):
         """Close any phases left open (e.g. a run aborted mid-phase), so
         the exported trace always has matched ``B``/``E`` pairs. Buffered
         batch events are flushed first so the timeline is complete."""
-        if self._core is not None:
-            self._core.flush_events()
+        self.flush_core()
         while self._open_phases:
             self.builder.end(
                 self._open_phases.pop(), self.clock, pid=self.pid, tid=self.tid

@@ -132,18 +132,16 @@ class CostProfiler(MachineObserver):
         self.stack = PhaseStack()
         self._paths: Dict[Tuple[str, ...], list] = {}
         self._blocks: Dict[Tuple[str, ...], set] = {}
-        self._core = None
-        self._cores: list = []  # every core attached to: the default ledger
+        #: Every core attached to, held strongly: :meth:`ledger` reads
+        #: them after the run.
+        self._cores: list = []
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
     def on_attach(self, core) -> None:
-        self._core = core
+        super().on_attach(core)
         self._cores.append(core)
-
-    def on_detach(self, core) -> None:
-        self._core = None
 
     def _bucket(self) -> list:
         path = self.stack.current
@@ -204,13 +202,9 @@ class CostProfiler(MachineObserver):
     # ------------------------------------------------------------------
     # Readout (flush-first, like every observer readout).
     # ------------------------------------------------------------------
-    def _sync(self) -> None:
-        if self._core is not None:
-            self._core.flush_events()
-
     def paths(self) -> Paths:
         """Attribution by stack path (root not included in the keys)."""
-        self._sync()
+        self.flush_core()
         return {
             path: PathStats(
                 reads=bucket[0],

@@ -39,7 +39,6 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..machine.core import install_span_observer_factory
 from ..observe.base import MachineObserver
-from ..observe.phases import PhaseStack
 from .perfetto import MACHINE_PID, ChromeTraceBuilder
 
 #: Category stamped on every flow event a span chain emits; the flow
@@ -171,13 +170,6 @@ class SpanPhaseRecorder(MachineObserver):
         self.read_cost = 0.0
         self.write_cost = 0.0
         self.timeline: list[tuple] = []  # ("B"|"E", phase name, tick)
-        self._core = None
-
-    def on_attach(self, core) -> None:
-        self._core = core
-
-    def on_detach(self, core) -> None:
-        self._core = None
 
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         self.clock += 1
@@ -204,8 +196,7 @@ class SpanPhaseRecorder(MachineObserver):
 
     def export(self) -> dict:
         """The segment as a plain picklable dict (buffered events first)."""
-        if self._core is not None:
-            self._core.flush_events()
+        self.flush_core()
         return {
             "span": self.span.as_dict(),
             "wall_start": self.wall_start,

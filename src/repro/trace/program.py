@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from ..core.params import AEMParams
 from ..machine.errors import TraceError
-from .ops import Op, ReadOp, WriteOp
+from .ops import Op, WriteOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..machine.aem import AEMMachine

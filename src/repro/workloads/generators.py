@@ -7,11 +7,11 @@ names used in tables to generator functions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 import numpy as np
 
-from ..atoms.atom import Atom, make_atoms
+from ..atoms.atom import make_atoms, make_tokens
 from ..atoms.permutation import Permutation
 from ..spmxv.matrix import Conformation
 
@@ -107,8 +107,16 @@ KEY_DISTRIBUTIONS: Dict[str, Callable[..., list]] = {
 }
 
 
-def sort_input(N: int, distribution: str = "uniform", rng=None) -> list[Atom]:
-    """Atoms with keys drawn from the named distribution."""
+def sort_input(
+    N: int, distribution: str = "uniform", rng=None, *, counting: bool = False
+) -> list:
+    """Atoms with keys drawn from the named distribution.
+
+    ``counting=True`` returns the same atoms' ``(key, uid)`` tokens
+    instead, the form a counting machine holds them in, without building
+    an :class:`~repro.atoms.atom.Atom` per element. The keys and the RNG
+    draws are the same either way.
+    """
     try:
         gen = KEY_DISTRIBUTIONS[distribution]
     except KeyError:
@@ -116,7 +124,8 @@ def sort_input(N: int, distribution: str = "uniform", rng=None) -> list[Atom]:
             f"unknown distribution {distribution!r}; "
             f"available: {sorted(KEY_DISTRIBUTIONS)}"
         ) from None
-    return make_atoms(gen(N, _rng(rng)))
+    keys = gen(N, _rng(rng))
+    return make_tokens(keys) if counting else make_atoms(keys)
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ...atoms.atom import Atom
+from ...atoms.atom import Atom, make_tokens
 from ..generators import _rng
 
 #: Frequencies are capped at ``FREQ_CAP - 1`` so they fit in the low
@@ -124,7 +122,7 @@ def posting_tokens(corpus: Corpus) -> list[tuple[int, int]]:
     so loading these onto a counting machine stashes exactly the tokens
     an Atom would produce — without materializing a million Atoms.
     """
-    return [(key, uid) for uid, key in enumerate(corpus.keys())]
+    return make_tokens(corpus.keys())
 
 
 def query_stream(

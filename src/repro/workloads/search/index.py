@@ -17,20 +17,21 @@ The build is the paper's sort pipeline wearing a search-engine hat:
    lexicon run.
 
 Every write costs ``omega`` — the build is the write-heavy half of the
-asymmetry story. All term/doc decisions are made on packed-key
-scheduling tokens via :func:`~repro.machine.phantom.token_of`, so a
-counting machine follows the exact same branch-for-branch path and the
-costs are bit-identical.
+asymmetry story. All term/doc decisions are made on packed keys — an
+atom's ``key`` on a full machine, its ``(key, uid)`` token's first field
+on a counting one, the extractor chosen once per call — so a counting
+machine follows the exact same branch-for-branch path and the costs are
+bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Optional, Sequence
 
 from ...core.params import AEMParams
 from ...machine.aem import AEMMachine
-from ...machine.phantom import token_of
 from ...machine.streams import BlockReader, BlockWriter
 from ...sorting.base import run_sorter
 from ...sorting.merge import MergeStats, multiway_merge
@@ -174,6 +175,15 @@ def build_index(
     return index
 
 
+def postings_key(machine: AEMMachine) -> Callable:
+    """The packed-key extractor for postings stored on ``machine``: a
+    token's first field on a counting machine, an atom's ``key`` on a
+    full one. Chosen once per call, never per posting."""
+    if machine.counting:
+        return itemgetter(0)
+    return attrgetter("key")
+
+
 def _emit_postings(
     machine: AEMMachine, final: Run, *, n_docs: int, n_terms: int
 ) -> SearchIndex:
@@ -185,6 +195,7 @@ def _emit_postings(
     """
     B = machine.params.B
     pair_cap = n_docs * FREQ_CAP  # key // pair_cap == term
+    key = postings_key(machine)
     reader = BlockReader(machine, final.addrs)
     lex_writer = BlockWriter(machine)
     lex_terms: list[int] = []
@@ -197,8 +208,8 @@ def _emit_postings(
     df = 0
 
     def flush_block() -> None:
-        # Skip entry: the last doc of the block, decoded from its token.
-        last_doc = (token_of(buf[-1])[0] // FREQ_CAP) % n_docs
+        # Skip entry: the last doc of the block, decoded from its key.
+        last_doc = (key(buf[-1]) // FREQ_CAP) % n_docs
         addr = machine.write_fresh(buf)  # releases the buffered slots
         post_addrs.append(addr)
         assert skip_writer is not None
@@ -224,7 +235,7 @@ def _emit_postings(
 
     for item in reader:  # take(): the slot transfers to our buffer
         machine.touch()
-        term = token_of(item)[0] // pair_cap
+        term = key(item) // pair_cap
         if term != cur_term:
             if cur_term >= 0:
                 close_term()
@@ -282,14 +293,14 @@ def verify_index(
             f"lexicon terms {sorted(index.lexicon)} != reference {sorted(ref)}"
         )
     B = machine.params.B
+    key = postings_key(machine)
     for term, plist in index.lexicon.items():
         expect = ref[term]
         if plist.df != len(expect):
             raise IndexVerificationError(
                 f"term {term}: df {plist.df} != reference {len(expect)}"
             )
-        atoms = machine.collect_output(plist.addrs)
-        keys = [token_of(a)[0] for a in atoms]
+        keys = list(map(key, machine.collect_output(plist.addrs)))
         want = [
             encode_posting(term, doc, freq, index.n_docs)
             for doc, freq in expect

@@ -10,7 +10,9 @@ Document-at-a-time evaluation with skip-to-block:
 * **Disjunctive** (``mode="or"``): a doc-ordered multiway merge over all
   terms' postings streams, summing the frequencies of equal-doc heads.
 
-Both run block at a time: keys are extracted once per loaded block, and
+Both run block at a time: keys are extracted once per loaded block, by
+an extractor chosen once per :func:`run_queries` call (a counting
+machine's postings are ``(key, uid)`` tokens, a full machine's atoms), and
 per-posting touches and releases go into a per-query :class:`_Tally`
 that is settled before every read and acquire, so occupancy at each of
 them is exactly that of a per-call ledger.
@@ -31,13 +33,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ...core.params import AEMParams
 from ...machine.aem import AEMMachine
-from ...machine.phantom import token_of
 from .corpus import FREQ_CAP, Corpus
-from .index import PostingsList, SearchIndex, reference_index
+from .index import PostingsList, SearchIndex, postings_key, reference_index
 
 
 class _Tally:
@@ -75,11 +76,6 @@ class _Tally:
         self.machine.acquire(k, what)
 
 
-def _keys(blk) -> list[int]:
-    """The packed posting keys of one loaded postings block."""
-    return [token_of(item)[0] for item in blk]
-
-
 class _TermCursor:
     """Monotone skip-to-block cursor over one term's postings.
 
@@ -90,8 +86,11 @@ class _TermCursor:
     once per query because ``doc`` only grows.
     """
 
-    def __init__(self, tally: _Tally, plist: PostingsList, n_docs: int):
+    def __init__(
+        self, tally: _Tally, plist: PostingsList, n_docs: int, key: Callable
+    ):
         self.tally = tally
+        self.key = key
         self.addrs = plist.addrs
         self.skip_addrs = plist.skip_addrs
         self.B = tally.machine.params.B
@@ -105,7 +104,8 @@ class _TermCursor:
 
     def _load_skip(self, idx: int) -> None:
         self.tally.releases += len(self.skip)
-        self.skip = [token_of(w) for w in self.tally.read(self.skip_addrs[idx])]
+        # Skip words are plain ints on both machine modes.
+        self.skip = self.tally.read(self.skip_addrs[idx])
         self.skip_idx = idx
 
     def _load_block(self, idx: int) -> None:
@@ -113,7 +113,7 @@ class _TermCursor:
         tally.releases += len(self.keys)
         blk = tally.read(self.addrs[idx])
         tally.touches += len(blk)  # key-extraction scan
-        self.keys = _keys(blk)
+        self.keys = list(map(self.key, blk))
         self.blk_idx = idx
 
     def advance(self, doc: int):
@@ -185,6 +185,7 @@ def _query_and(
     plists: list[PostingsList],
     n_docs: int,
     k: int,
+    key: Callable,
 ) -> list[tuple[int, int]]:
     """Conjunctive DAAT: rarest term drives, others are probed via skips.
 
@@ -193,18 +194,18 @@ def _query_and(
     """
     plists = sorted(plists, key=lambda p: (p.df, p.term))
     driver, rest = plists[0], plists[1:]
-    cursors = [_TermCursor(tally, p, n_docs) for p in rest]
+    cursors = [_TermCursor(tally, p, n_docs, key) for p in rest]
     topk = _TopK(tally, k)
     held = 0  # driver postings read but not yet inspected
     try:
         for addr in driver.addrs:
-            keys = _keys(tally.read(addr))
+            keys = list(map(key, tally.read(addr)))
             held = len(keys)
-            for key in keys:
+            for packed in keys:
                 held -= 1
                 tally.releases += 1  # taken key inspected, not kept
-                doc = (key // FREQ_CAP) % n_docs
-                score = key % FREQ_CAP
+                doc = (packed // FREQ_CAP) % n_docs
+                score = packed % FREQ_CAP
                 for cur in cursors:
                     freq = cur.advance(doc)
                     if freq is None:
@@ -239,6 +240,7 @@ def _query_or(
     plists: list[PostingsList],
     n_docs: int,
     k: int,
+    key: Callable,
 ) -> list[tuple[int, int]]:
     """Disjunctive DAAT: doc-ordered merge of all streams, summing freqs.
 
@@ -254,7 +256,7 @@ def _query_or(
             best = None
             for s in streams:
                 while s.pos >= len(s.keys) and s.next < len(s.addrs):
-                    s.keys = _keys(tally.read(s.addrs[s.next]))
+                    s.keys = list(map(key, tally.read(s.addrs[s.next])))
                     s.next += 1
                     s.pos = 0
                 if s.pos < len(s.keys):
@@ -266,9 +268,9 @@ def _query_or(
             score = 0
             for s in streams:
                 if s.pos < len(s.keys):
-                    key = s.keys[s.pos]
-                    if (key // FREQ_CAP) % n_docs == best:
-                        score += key % FREQ_CAP
+                    packed = s.keys[s.pos]
+                    if (packed // FREQ_CAP) % n_docs == best:
+                        score += packed % FREQ_CAP
                         s.pos += 1
                         tally.releases += 1
             topk.offer(best, score)
@@ -299,6 +301,7 @@ def run_queries(
     if k < 1:
         raise ValueError("k must be >= 1")
     evaluate = _query_and if mode == "and" else _query_or
+    key = postings_key(machine)
     results: list[list[tuple[int, int]]] = []
     for terms in queries:
         with machine.phase("query/lookup"):
@@ -314,7 +317,7 @@ def run_queries(
                 continue
             tally = _Tally(machine)
             try:
-                results.append(evaluate(tally, plists, index.n_docs, k))
+                results.append(evaluate(tally, plists, index.n_docs, k, key))
             finally:
                 tally.settle()
     return results

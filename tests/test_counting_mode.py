@@ -17,11 +17,18 @@ from repro.core.params import AEMParams
 from repro.engine import ExperimentConfig, ResultCache, SweepEngine
 from repro.experiments import REGISTRY, run_experiment
 from repro.api.measures import measure_permute, measure_sort, measure_spmxv
+from repro.api.registry import WORKLOADS, normalize, workload_names
 from repro.machine.aem import AEMMachine
 from repro.machine.em import em_machine
 from repro.machine.errors import AddressError
 from repro.machine.flash import FlashMachine
-from repro.machine.phantom import PHANTOM, PhantomBlock, PhantomBlockStore, token_of
+from repro.machine.phantom import (
+    PHANTOM,
+    SELF_TOKEN_TYPES,
+    PhantomBlock,
+    PhantomBlockStore,
+    token_of,
+)
 from repro.observe.base import MachineObserver
 from repro.observe.trace import TraceRecorder
 from repro.permute.base import PERMUTERS, PermuteVerificationError
@@ -417,6 +424,80 @@ class TestTokenOf:
     def test_plain_values_pass_through(self):
         assert token_of(5) == 5
         assert token_of((2, 9)) == (2, 9)
+
+
+# ----------------------------------------------------------------------
+# The token contract: a counting run handles atoms only as (key, uid)
+# tokens, from its input to its stash.
+# ----------------------------------------------------------------------
+def _registry_queries():
+    """Every registered workload at its defaults, then once per non-default
+    choice of each of its choice fields (each sorter, key distribution,
+    permutation and conformation family, SpMxV algorithm, query mode)."""
+    for name in workload_names():
+        yield name, {}
+        for field in WORKLOADS[name].fields:
+            for choice in field.choices or ():
+                if choice != field.default:
+                    yield name, {field.name: choice}
+
+
+REGISTRY_QUERIES = list(_registry_queries())
+
+
+@pytest.mark.parametrize(
+    "workload,fields",
+    REGISTRY_QUERIES,
+    ids=[
+        "-".join([w, *(f"{k}={v}" for k, v in f.items())])
+        for w, f in REGISTRY_QUERIES
+    ],
+)
+def test_counting_run_holds_only_tokens(workload, fields, monkeypatch):
+    """No ``Atom`` is constructed on a counting run, and every item its
+    machines stash is a token or the SpMxV output's ``PHANTOM``."""
+    from repro.atoms.atom import Atom
+
+    def no_atoms(self, *args, **kwargs):
+        raise AssertionError("a counting run constructed an Atom")
+
+    machines = []
+    init = AEMMachine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        machines.append(self)
+
+    spec, config = normalize(
+        {"workload": workload, "n": 256, "M": 64, "B": 8, "omega": 4,
+         "counting": True, **fields}
+    )
+    monkeypatch.setattr(Atom, "__init__", no_atoms)
+    monkeypatch.setattr(AEMMachine, "__init__", recording_init)
+    spec.measure(**config)
+    assert machines and all(m.counting for m in machines)
+    stashed = [item for m in machines for blk in m._tokens.values() for item in blk]
+    assert stashed
+    strays = {type(item).__name__ for item in stashed
+              if type(item) not in SELF_TOKEN_TYPES and item is not PHANTOM}
+    assert not strays, f"non-token items stashed: {sorted(strays)}"
+
+
+@pytest.mark.parametrize("n", [24, 29])
+@pytest.mark.parametrize("make", [
+    lambda: AEMMachine(P, counting=True),
+    lambda: FlashMachine(64, 2, 8, counting=True),
+], ids=["aem", "flash"])
+def test_load_input_of_atoms_stashes_their_tokens(make, n):
+    from repro.atoms.atom import make_atoms
+
+    atoms = make_atoms(range(n, 0, -1))
+    from_atoms, from_tokens = make(), make()
+    assert from_atoms.load_input(atoms) == from_tokens.load_input(
+        [a.sort_token() for a in atoms]
+    )
+    assert from_atoms._tokens == from_tokens._tokens
+    assert all(type(blk) is tuple for blk in from_atoms._tokens.values())
 
 
 # ----------------------------------------------------------------------

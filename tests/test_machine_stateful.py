@@ -12,7 +12,6 @@ from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 from hypothesis import strategies as st

@@ -13,7 +13,6 @@ from repro.machine.errors import CapacityError
 from repro.observe.base import MachineObserver
 from repro.sorting.base import verify_sorted_output
 from repro.sorting.merge import (
-    EXHAUSTED,
     ExternalPointerStore,
     InternalPointerStore,
     MergeStats,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.atoms.atom import make_atoms
 from repro.core.bounds import sort_read_shape, sort_upper_shape, sort_write_shape
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine

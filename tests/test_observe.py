@@ -509,3 +509,51 @@ class TestMachineCore:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert out.returncode == 0 and out.stdout.strip() == "ok"
+
+
+class TestMachineLifetime:
+    """Observers hold their core weakly: a finished machine goes with its
+    last reference, and what it still buffered reaches its observers."""
+
+    # The global sanitizers are the referee and hold their core strongly.
+    pytestmark = pytest.mark.no_sanitize
+
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    def test_core_freed_without_gc_after_sort(self, counting):
+        import gc
+        import weakref
+
+        import numpy as np
+
+        gc.disable()
+        try:
+            m = AEMMachine.for_algorithm(P, counting=counting)
+            wear = m.attach(WearMap())
+            atoms = sort_input(300, "uniform", np.random.default_rng(3))
+            out = SORTERS["aem_mergesort"](m, m.load_input(atoms), P)
+            assert len(m.collect_output(out)) == 300
+            core = weakref.ref(m.core)
+            del m
+            assert core() is None, "the core outlived its machine"
+        finally:
+            gc.enable()
+        assert wear.total_writes > 0
+
+    def test_observers_outliving_machine_read_every_event(self):
+        from repro.telemetry import MetricsObserver
+
+        m = AEMMachine(P)
+        cost, wear, metrics = CostObserver(omega=P.omega), WearMap(), MetricsObserver()
+        for obs in (cost, wear, metrics):
+            m.attach(obs)
+        addrs = m.load_input(range(24))
+        for a in addrs:
+            m.read(a)
+        m.write(addrs[0], [0] * P.B)
+        m.touch(5)
+        assert m.core.batch.n > 0, "the events must still be buffered"
+        del m
+        assert (cost.reads, cost.writes, cost.counter.touches) == (3, 1, 5)
+        assert wear.counts == {addrs[0]: 1}
+        (phase,) = metrics.per_phase().values()
+        assert (phase["reads"], phase["writes"], phase["touches"]) == (3, 1, 5)

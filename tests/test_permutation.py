@@ -1,6 +1,5 @@
 """Permutation: algebra, constructors, verification."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

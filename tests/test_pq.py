@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    initialize,
     invariant,
     precondition,
     rule,

@@ -1,7 +1,5 @@
 """Regime analysis: case boundaries and crossover detection."""
 
-import pytest
-
 from repro.core.params import AEMParams
 from repro.core.regimes import (
     Crossover,

@@ -24,7 +24,6 @@ from repro.sanitize import (
     MAX_VIOLATIONS,
     CapacitySanitizer,
     CostSanitizer,
-    ProvenanceSanitizer,
     ReductionSanitizer,
     RoundFormProgramSanitizer,
     RoundFormSanitizer,

@@ -9,12 +9,11 @@ The contract every sorter must satisfy on *any* input:
   and write the data) and within a generous constant of the shape.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atoms.atom import make_atoms
-from repro.core.bounds import em_sort_shape, sort_upper_shape
+from repro.core.bounds import sort_upper_shape
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
 from repro.sorting.base import SORTERS, verify_sorted_output

@@ -13,7 +13,7 @@ from repro.spmxv.layouts import (
 )
 from repro.spmxv.matrix import Conformation, load_matrix, load_vector, reference_product
 from repro.spmxv.naive import spmxv_naive
-from repro.spmxv.semiring import MAX_PLUS, REAL
+from repro.spmxv.semiring import MAX_PLUS
 
 
 @pytest.fixture

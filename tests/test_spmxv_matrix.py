@@ -79,6 +79,11 @@ class TestLayout:
         ]
         assert uids_of(entries) == [0, 1, 2, 3]
 
+    def test_column_major_tokens_are_the_entries_tokens(self):
+        conf = Conformation.random(12, 3, 1)
+        entries = conf.column_major_entries([0.5] * conf.H)
+        assert conf.column_major_tokens() == [e.sort_token() for e in entries]
+
     def test_value_count_checked(self):
         conf = Conformation.random(4, 2, 0)
         with pytest.raises(ValueError):

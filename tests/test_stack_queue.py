@@ -1,6 +1,5 @@
 """External stack and queue: model tests and amortized cost bounds."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule

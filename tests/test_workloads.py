@@ -88,6 +88,12 @@ class TestKeys:
         b = sort_input(64, "uniform", np.random.default_rng(5))
         assert [x.key for x in a] == [x.key for x in b]
 
+    @pytest.mark.parametrize("name", sorted(KEY_DISTRIBUTIONS))
+    def test_counting_sort_input_is_the_atoms_tokens(self, name):
+        atoms = sort_input(64, name, np.random.default_rng(6))
+        tokens = sort_input(64, name, np.random.default_rng(6), counting=True)
+        assert tokens == [a.sort_token() for a in atoms]
+
     def test_sort_input_unknown_distribution(self):
         with pytest.raises(KeyError, match="unknown distribution"):
             sort_input(10, "quantum")
