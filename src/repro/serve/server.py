@@ -310,15 +310,14 @@ class CostServer:
             q["counting"] = True
         return q
 
-    def _admit(self, query: Mapping[str, Any]) -> _Task:
-        """Register one query; dedups against in-flight identical ones.
+    def _admit(self, q: dict, key: str) -> _Task:
+        """Register one default-applied query under its key; dedups
+        against in-flight identical ones.
 
-        Raises :class:`api.QueryError` on a bad query. The caller checks
+        The caller keys the query (:meth:`_new_unique_count`) and checks
         capacity *before* calling (so multi-query requests are all-or-
         nothing) — this only ever grows ``_inflight`` by one.
         """
-        q = self._default_query(query)
-        key = api.query_key(q)
         existing = self._inflight.get(key)
         if existing is not None:
             self._dedup_hits.inc()
@@ -340,12 +339,18 @@ class CostServer:
         self._queue.put_nowait(task)
         return task
 
-    def _new_unique_count(self, queries: list) -> int:
-        """How many of these queries would occupy new in-flight slots."""
-        keys = set()
-        for q in queries:
-            keys.add(api.query_key(self._default_query(q)))
-        return len(keys - set(self._inflight))
+    def _new_unique_count(self, queries: list) -> tuple[list, int]:
+        """Key each query once; how many would occupy new in-flight slots.
+
+        Returns the ``(default-applied query, key)`` pairs :meth:`_admit`
+        takes, and the count. Raises :class:`api.QueryError` on a bad
+        query, before anything is admitted.
+        """
+        keyed = []
+        for query in queries:
+            q = self._default_query(query)
+            keyed.append((q, api.query_key(q)))
+        return keyed, len({key for _, key in keyed} - self._inflight.keys())
 
     async def _batch_loop(self) -> None:
         cfg = self.config
@@ -495,7 +500,7 @@ class CostServer:
         if self._draining:
             return 503, {"error": "server is draining"}, None
         try:
-            new_slots = self._new_unique_count(queries)
+            keyed, new_slots = self._new_unique_count(queries)
         except api.QueryError as exc:
             return 400, {"error": str(exc)}, None
         if len(self._inflight) + new_slots > self.config.max_pending:
@@ -509,7 +514,7 @@ class CostServer:
                 },
                 {"retry-after": f"{self.config.retry_after:g}"},
             )
-        tasks = [self._admit(q) for q in queries]
+        tasks = [self._admit(q, key) for q, key in keyed]
         try:
             results = await asyncio.wait_for(
                 asyncio.gather(*(asyncio.shield(t.future) for t in tasks)),

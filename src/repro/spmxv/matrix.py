@@ -22,6 +22,57 @@ from ..machine.aem import AEMMachine
 from .semiring import REAL, Semiring
 
 
+#: ``Generator.choice(N, size, replace=False)`` runs Floyd's algorithm
+#: unless ``N > 10000`` and ``size > N // 50``, where it tail-shuffles a
+#: length-N index array instead (numpy's ``_generator.pyx``).
+_CHOICE_FLOYD_MAX_N = 10000
+_CHOICE_FLOYD_CUTOFF = 50
+
+
+def _floyd_rows(N: int, delta: int, rng: np.random.Generator) -> np.ndarray:
+    """``(N, delta)`` sorted rows: N ``rng.choice(N, delta, replace=False)``
+    calls below the tail-shuffle threshold, drawn in one ``integers`` call.
+
+    Each such ``choice`` call is Floyd's algorithm: ``delta`` bounded
+    draws with inclusive bounds ``N - delta ... N - 1``, where a draw
+    already picked is replaced by its bound, then ``delta - 1`` draws
+    (bounds ``delta - 1 ... 1``) that shuffle the picks. One ``integers``
+    call drawing a row of those bounds per column, in row-major order,
+    consumes the stream draw for draw the same way. The collision rule
+    is replayed for every column at once, one step per pick; the shuffle
+    draws are consumed but unused, since the rows are sorted.
+    """
+    bounds = np.concatenate([np.arange(N - delta, N), np.arange(delta - 1, 0, -1)])
+    rows = rng.integers(0, bounds, size=(N, bounds.size), endpoint=True)[:, :delta]
+    for k in range(1, delta):
+        taken = (rows[:, :k] == rows[:, k : k + 1]).any(axis=1)
+        rows[taken, k] = N - delta + k
+    # Stable: the sort kind the corpus generator's lexsort already loaded;
+    # a first quicksort call maps about 0.25 MB more of numpy's code.
+    rows.sort(axis=1, kind="stable")
+    return rows
+
+
+def _columns_valid(cols: Sequence[Sequence[int]], N: int, delta: int) -> bool:
+    """Whether every column is ``delta`` strictly increasing int rows in
+    ``[0, N)``, checked on one array.
+
+    False means only that this check cannot vouch for ``cols``: a column
+    fails, or the rows are not all ints of one array dtype (the
+    per-column checks decide those).
+    """
+    if any(len(rows) != delta for rows in cols):
+        return False
+    rows = np.array(cols)
+    if rows.dtype.kind != "i" or rows.shape != (N, delta):
+        return False
+    return bool(
+        (rows[:, :1] >= 0).all()
+        and (rows[:, -1:] < N).all()
+        and (rows[:, 1:] > rows[:, :-1]).all()
+    )
+
+
 @dataclass(frozen=True)
 class Conformation:
     """Positions of the non-zeros: exactly ``delta`` sorted rows per column."""
@@ -33,6 +84,10 @@ class Conformation:
     def __post_init__(self) -> None:
         if len(self.cols) != self.N:
             raise ValueError(f"expected {self.N} columns, got {len(self.cols)}")
+        if _columns_valid(self.cols, self.N, self.delta):
+            return
+        # Some column fails a check (or holds non-int rows the array
+        # check cannot vouch for): the per-column checks find it.
         for j, rows in enumerate(self.cols):
             if len(rows) != self.delta:
                 raise ValueError(
@@ -55,14 +110,25 @@ class Conformation:
     def random(
         N: int, delta: int, rng: np.random.Generator | int | None = None
     ) -> "Conformation":
-        """Each column's rows drawn uniformly without replacement."""
+        """Each column's rows drawn uniformly without replacement.
+
+        Column j holds the sorted rows of the j-th of N successive
+        ``rng.choice(N, delta, replace=False)`` calls, and the generator
+        is left where those calls leave it. Where numpy's ``choice`` runs
+        Floyd's algorithm, all columns are drawn at once
+        (:func:`_floyd_rows`); past its tail-shuffle threshold the columns
+        are drawn one ``choice`` call at a time, the only exact replay.
+        """
         if delta > N:
             raise ValueError("delta cannot exceed N")
         rng = np.random.default_rng(rng)
-        cols = tuple(
-            tuple(sorted(rng.choice(N, size=delta, replace=False).tolist()))
-            for _ in range(N)
-        )
+        if N > _CHOICE_FLOYD_MAX_N and delta > N // _CHOICE_FLOYD_CUTOFF:
+            cols = tuple(
+                tuple(sorted(rng.choice(N, size=delta, replace=False).tolist()))
+                for _ in range(N)
+            )
+        else:
+            cols = tuple(map(tuple, _floyd_rows(N, delta, rng).tolist()))
         return Conformation(N=N, delta=delta, cols=cols)
 
     @staticmethod

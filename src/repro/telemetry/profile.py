@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..machine.cost import CostRecord
+from ..machine.internal import InternalMemory
 from ..observe.base import MachineObserver
 from ..observe.batch import KIND_READ, KIND_WRITE
 from ..observe.cost import CostObserver
@@ -132,16 +133,19 @@ class CostProfiler(MachineObserver):
         self.stack = PhaseStack()
         self._paths: Dict[Tuple[str, ...], list] = {}
         self._blocks: Dict[Tuple[str, ...], set] = {}
-        #: Every core attached to, held strongly: :meth:`ledger` reads
-        #: them after the run.
-        self._cores: list = []
+        #: What :meth:`ledger` reads of every machine attached to: its own
+        #: :class:`~repro.observe.CostObserver` (none, or the first one it
+        #: attached) and its internal memory. Neither refers back to the
+        #: core, so a finished machine is freed by reference counting and
+        #: these still read exactly (the core flushes them as it goes).
+        self._ledgers: list[tuple[list, InternalMemory]] = []
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
     def on_attach(self, core) -> None:
         super().on_attach(core)
-        self._cores.append(core)
+        self._ledgers.append((core.find(CostObserver)[:1], core.mem))
 
     def _bucket(self) -> list:
         path = self.stack.current
@@ -232,18 +236,13 @@ class CostProfiler(MachineObserver):
         saw: a record may price a sub-range of the run (``search_query``
         prices its query phase only).
         """
-        # [:1]: the machine's own ledger, the first observer it attaches.
-        snaps = [
-            obs.snapshot()
-            for core in self._cores
-            for obs in core.find(CostObserver)[:1]
-        ]
+        snaps = [obs.snapshot() for own, _ in self._ledgers for obs in own]
         return CostRecord(
             Q=sum(s.Q for s in snaps),
             Qr=sum(s.reads for s in snaps),
             Qw=sum(s.writes for s in snaps),
             T=sum(s.touches for s in snaps),
-            peak_mem=max((core.mem.peak for core in self._cores), default=0),
+            peak_mem=max((mem.peak for _, mem in self._ledgers), default=0),
         )
 
     def conservation_errors(self, ledger: Optional[Mapping] = None) -> list[str]:

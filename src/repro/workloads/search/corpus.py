@@ -19,7 +19,10 @@ the same corpus and the same query stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
 
 from ...atoms.atom import Atom, make_tokens
 from ..generators import _rng
@@ -28,6 +31,8 @@ from ..generators import _rng
 #: digits of the packed key. 255 repetitions of one term in one document
 #: is plenty for ranking; the cap keeps the encoding a fixed radix.
 FREQ_CAP = 256
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def encode_posting(term: int, doc: int, freq: int, n_docs: int) -> int:
@@ -49,15 +54,19 @@ class Corpus:
     postings: tuple[tuple[int, int, int], ...]
     n_docs: int
     n_terms: int
+    #: The packed keys as one int64 array, when the generator that drew
+    #: the postings packed them (it does whenever every key fits int64).
+    _keys: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.postings)
 
     def keys(self) -> list[int]:
-        """Packed keys in arrival order (the index-build input)."""
-        return [
-            encode_posting(t, d, f, self.n_docs) for t, d, f in self.postings
-        ]
+        """Packed keys in arrival order (the index-build input):
+        :func:`encode_posting` of every posting."""
+        if self._keys is not None:
+            return self._keys.tolist()
+        return [encode_posting(t, d, f, self.n_docs) for t, d, f in self.postings]
 
 
 def _default_dims(N: int, n_docs: int | None, n_terms: int | None) -> tuple[int, int]:
@@ -90,24 +99,71 @@ def corpus_postings(
             f"cannot draw {N} unique postings from "
             f"{n_terms} terms x {n_docs} docs"
         )
-    r = _rng(rng)
-    order: list[tuple[int, int]] = []  # arrival order of unique pairs
-    freq: dict[tuple[int, int], int] = {}
-    while len(order) < N:
-        batch = max(256, (N - len(order)) * 2)
-        terms = (r.zipf(zipf_a, size=batch) - 1) % n_terms
+    terms, docs, freqs = _draw_postings(N, n_docs, n_terms, zipf_a, _rng(rng))
+    postings = tuple(zip(terms.tolist(), docs.tolist(), freqs.tolist()))
+    keys = None
+    if n_terms * n_docs * FREQ_CAP <= _INT64_MAX:
+        keys = (terms * n_docs + docs) * FREQ_CAP + freqs
+    return Corpus(postings=postings, n_docs=n_docs, n_terms=n_terms, _keys=keys)
+
+
+def _draw_postings(
+    N: int, n_docs: int, n_terms: int, zipf_a: float, r: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term, doc and freq columns of :func:`corpus_postings`, in
+    arrival order.
+
+    Batches are drawn as a per-draw loop would draw them: a batch of
+    ``max(256, 2 * (pairs still missing))`` zipf terms, then as many
+    docs, cut at the draw that brings the N-th new pair. Only draws
+    before the cut count, and ``r`` ends where that loop leaves it.
+    """
+    seen_terms = seen_docs = np.empty(0, dtype=np.int64)  # new pairs so far
+    kept_terms = [seen_terms]  # the draws before the cut, batch by batch
+    kept_docs = [seen_docs]
+    found = 0
+    while found < N:
+        batch = max(256, (N - found) * 2)
+        terms = r.zipf(zipf_a, size=batch)
+        terms -= 1
+        terms %= n_terms
         docs = r.integers(0, n_docs, size=batch)
-        for t, d in zip(terms.tolist(), docs.tolist()):
-            pair = (int(t), int(d))
-            if pair in freq:
-                freq[pair] = min(FREQ_CAP - 1, freq[pair] + 1)
-            else:
-                freq[pair] = 1
-                order.append(pair)
-                if len(order) == N:
-                    break
-    postings = tuple((t, d, freq[(t, d)]) for t, d in order)
-    return Corpus(postings=postings, n_docs=n_docs, n_terms=n_terms)
+        first, _ = _first_draws(
+            np.concatenate([seen_terms, terms]), np.concatenate([seen_docs, docs])
+        )
+        new = first[first >= found] - found  # batch positions of new pairs
+        if found + len(new) >= N:
+            new = new[: N - found]
+            terms, docs = terms[: new[-1] + 1], docs[: new[-1] + 1]
+        kept_terms.append(terms)
+        kept_docs.append(docs)
+        seen_terms = np.concatenate([seen_terms, terms[new]])
+        seen_docs = np.concatenate([seen_docs, docs[new]])
+        found += len(new)
+    terms = np.concatenate(kept_terms)
+    docs = np.concatenate(kept_docs)
+    first, counts = _first_draws(terms, docs)
+    return terms[first], docs[first], np.minimum(counts, FREQ_CAP - 1)
+
+
+def _first_draws(terms: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct ``(term, doc)`` pair's first draw position, in draw
+    order, and how often the pair was drawn.
+
+    Sort-based: a stable lexicographic sort puts each pair's draws
+    together in draw order, so a run's first index is the pair's first
+    draw and its length the pair's count. Scattering the counts to the
+    first draws puts the pairs in draw order without a second sort.
+    """
+    order = np.lexsort((docs, terms))
+    t, d = terms[order], docs[order]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = (t[1:] != t[:-1]) | (d[1:] != d[:-1])
+    starts = np.flatnonzero(run_start)
+    counts = np.zeros(len(order), dtype=np.intp)  # indexed by first draw
+    counts[order[starts]] = np.diff(starts, append=len(order))
+    first = np.flatnonzero(counts)
+    return first, counts[first]
 
 
 def posting_atoms(corpus: Corpus) -> list[Atom]:

@@ -557,3 +557,32 @@ class TestMachineLifetime:
         assert wear.counts == {addrs[0]: 1}
         (phase,) = metrics.per_phase().values()
         assert (phase["reads"], phase["writes"], phase["touches"]) == (3, 1, 5)
+
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    def test_core_with_profiler_freed_without_gc(self, counting):
+        import gc
+        import weakref
+
+        import numpy as np
+
+        from repro.telemetry import CostProfiler
+
+        prof = CostProfiler(root="sort")
+        gc.disable()
+        try:
+            m = AEMMachine.for_algorithm(P, counting=counting, observers=[prof])
+            atoms = sort_input(300, "uniform", np.random.default_rng(3))
+            SORTERS["aem_mergesort"](m, m.load_input(atoms), P)
+            snap, peak = m.snapshot(), m.mem.peak
+            m.touch(5)
+            assert m.core.batch.n > 0, "the touch must still be buffered"
+            core = weakref.ref(m.core)
+            del m
+            assert core() is None, "the profiler kept the core alive"
+        finally:
+            gc.enable()
+        ledger = prof.ledger()
+        assert (ledger.Q, ledger.Qr, ledger.Qw, ledger.T, ledger.peak_mem) == (
+            snap.Q, snap.reads, snap.writes, snap.touches + 5, peak
+        )
+        assert prof.conservation_errors() == []

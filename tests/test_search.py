@@ -9,6 +9,7 @@ share.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -16,6 +17,7 @@ from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
 from repro.workloads.search import (
     FREQ_CAP,
+    Corpus,
     build_index,
     corpus_postings,
     decode_posting,
@@ -90,6 +92,87 @@ class TestCorpus:
             query_stream(1, n_terms=2, terms_per_query=3)
         with pytest.raises(ValueError, match=">= 1"):
             query_stream(1, n_terms=4, terms_per_query=0)
+
+
+def per_draw_corpus(N, *, rng, n_docs=None, n_terms=None, zipf_a=1.4):
+    """The reference: the per-draw loop, one dict lookup per drawn pair."""
+    n_docs = max(4, N // 8) if n_docs is None else n_docs
+    n_terms = max(4, N // 16) if n_terms is None else n_terms
+    order: list[tuple[int, int]] = []
+    freq: dict[tuple[int, int], int] = {}
+    while len(order) < N:
+        batch = max(256, (N - len(order)) * 2)
+        terms = (rng.zipf(zipf_a, size=batch) - 1) % n_terms
+        docs = rng.integers(0, n_docs, size=batch)
+        for pair in zip(terms.tolist(), docs.tolist()):
+            if pair in freq:
+                freq[pair] = min(FREQ_CAP - 1, freq[pair] + 1)
+            else:
+                freq[pair] = 1
+                order.append(pair)
+                if len(order) == N:
+                    break
+    return tuple((t, d, freq[(t, d)]) for t, d in order)
+
+
+#: N = 128 must draw every one of its 8 x 16 pairs; the custom shapes
+#: force long runs of collisions and many batches, and at zipf_a = 4
+#: the head term's pairs reach the frequency cap.
+CORPUS_CASES = [
+    (1, {}),
+    (128, {}),
+    (136, {}),
+    (2048, {}),
+    (65536, {}),
+    (16, dict(n_docs=4, n_terms=4, zipf_a=3.0)),
+    (150, dict(n_docs=64, n_terms=3, zipf_a=2.5)),
+    (500, dict(n_docs=1000, n_terms=50, zipf_a=1.1)),
+    (3000, dict(n_docs=600, n_terms=6, zipf_a=1.7)),
+    (40, dict(n_docs=10, n_terms=4, zipf_a=4.0)),
+]
+
+
+class TestCorpusMatchesPerDrawLoop:
+    """``corpus_postings`` draws whole batches at once, yet yields the
+    per-draw loop's postings and leaves the generator where it does."""
+
+    @pytest.mark.parametrize("N,dims", CORPUS_CASES)
+    def test_postings_keys_and_generator_state(self, N, dims):
+        ref_rng = np.random.default_rng(N)
+        expect = per_draw_corpus(N, rng=ref_rng, **dims)
+        rng = np.random.default_rng(N)
+        corpus = corpus_postings(N, rng=rng, **dims)
+        assert corpus.postings == expect
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert corpus.keys() == [
+            encode_posting(t, d, f, corpus.n_docs) for t, d, f in expect
+        ]
+        if dims.get("zipf_a") == 4.0:
+            assert max(f for _, _, f in expect) == FREQ_CAP - 1
+
+    def test_keys_of_hand_built_and_wide_corpora(self):
+        built = Corpus(postings=((3, 1, 2), (0, 5, 255)), n_docs=6, n_terms=4)
+        assert built.keys() == [encode_posting(3, 1, 2, 6), encode_posting(0, 5, 255, 6)]
+        # Keys past int64: packed as Python ints, never wrapped.
+        wide = corpus_postings(40, n_docs=2**60, n_terms=8, rng=3)
+        keys = wide.keys()
+        assert keys == [encode_posting(t, d, f, 2**60) for t, d, f in wide.postings]
+        assert max(keys) > np.iinfo(np.int64).max
+
+    def test_search_queries_follow_the_reference_corpus(self, monkeypatch):
+        import repro.workloads.search.measures as search_measures
+
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(query_stream(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(search_measures, "query_stream", recording)
+        measure_search_query(512, P, n_queries=24, seed=5, counting=True)
+        rng = np.random.default_rng(5)
+        per_draw_corpus(512, rng=rng)
+        assert drawn == [query_stream(24, n_terms=512 // 16, rng=rng)]
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,20 @@ class TestDedupAndBatching:
         ]
         assert results == json.loads(json.dumps(direct))
 
+    def test_each_query_keyed_once_per_request(self, server, monkeypatch):
+        keyed = []
+        query_key = api.query_key
+
+        def counted(query):
+            keyed.append(query)
+            return query_key(query)
+
+        monkeypatch.setattr(api, "query_key", counted)
+        queries = [{**QUERY, "n": n} for n in (136, 144, 152)]
+        resp = server.post("/evaluate", {"queries": queries})
+        assert resp.status == 200
+        assert len(keyed) == len(queries)
+
     def test_empty_batch_rejected(self, server):
         assert server.post("/evaluate", {"queries": []}).status == 400
 

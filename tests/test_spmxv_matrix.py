@@ -35,6 +35,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="increasing"):
             Conformation(N=2, delta=2, cols=((0, 0), (0, 1)))
 
+    def test_names_the_first_failing_column(self):
+        with pytest.raises(ValueError, match="column 1 has row indices outside"):
+            Conformation(N=3, delta=1, cols=((0,), (-1,), (1, 2)))
+        with pytest.raises(ValueError, match="column 2 rows not strictly"):
+            Conformation(N=3, delta=2, cols=((0, 1), (1, 2), (2, 2)))
+
+    def test_non_int_rows_checked_per_column(self):
+        # The array check vouches for int rows only; these go through the
+        # per-column checks, which accept ordered in-range numbers as before.
+        Conformation(N=2, delta=2, cols=((0.5, 1.0), (0, 1.5)))
+        with pytest.raises(ValueError, match="outside"):
+            Conformation(N=2, delta=1, cols=((-0.5,), (1,)))
+        with pytest.raises(ValueError, match="outside"):
+            Conformation(N=2, delta=1, cols=((0,), (2**70,)))
+
 
 class TestGenerators:
     @settings(max_examples=20, deadline=None)
@@ -65,6 +80,55 @@ class TestGenerators:
         conf = Conformation.transpose_like(16, 4)
         spread = max(conf.cols[0]) - min(conf.cols[0])
         assert spread >= 8
+
+
+def choice_loop_cols(N, delta, rng):
+    """The reference: one ``rng.choice`` call per column."""
+    return tuple(
+        tuple(sorted(rng.choice(N, size=delta, replace=False).tolist()))
+        for _ in range(N)
+    )
+
+
+#: Small N at every delta, larger N at a few, and both sides of numpy's
+#: switch from Floyd's algorithm to a tail shuffle (N > 10000 and
+#: delta > N // 50).
+CHOICE_CASES = (
+    [(1, d) for d in (0, 1)]
+    + [(17, d) for d in range(18)]
+    + [(64, d) for d in (1, 2, 3, 4, 8, 31, 63, 64)]
+    + [(2048, d) for d in (1, 4, 16)]
+    + [(4096, d) for d in (4, 40)]
+    + [(10001, 200), (10001, 201)]
+)
+
+
+class TestRandomMatchesChoiceLoop:
+    """``Conformation.random`` draws every column at once, yet consumes
+    the generator exactly as the per-column ``rng.choice`` loop does."""
+
+    @pytest.mark.parametrize("N,delta", CHOICE_CASES)
+    def test_columns_and_generator_state(self, N, delta):
+        ref_rng = np.random.default_rng(N + delta)
+        expect = choice_loop_cols(N, delta, ref_rng)
+        rng = np.random.default_rng(N + delta)
+        assert Conformation.random(N, delta, rng).cols == expect
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("N,delta", [(64, 3), (4096, 4)])
+    def test_spmxv_instance_matches_reference(self, N, delta):
+        from repro.workloads.generators import spmxv_instance
+
+        ref_rng = np.random.default_rng(11)
+        cols = choice_loop_cols(N, delta, ref_rng)
+        values = ref_rng.standard_normal(N * delta).tolist()
+        x = ref_rng.standard_normal(N).tolist()
+        conf, got_values, got_x = spmxv_instance(N, delta, "random", 11)
+        assert (conf.cols, got_values, got_x) == (cols, values, x)
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ValueError):
+            Conformation.random(5, -1)
 
 
 class TestLayout:
