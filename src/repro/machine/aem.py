@@ -34,8 +34,7 @@ on; the tests pin their peak occupancy.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import ContextManager, Iterable, Optional, Sequence
 
 from ..core.params import AEMParams
 from ..observe.base import MachineObserver
@@ -44,9 +43,8 @@ from ..observe.trace import TraceRecorder
 from .blockstore import BlockStore
 from .core import MachineCore
 from .cost import CostCounter, CostSnapshot
-from .errors import AddressError, BlockSizeError
 from .internal import InternalMemory
-from .phantom import PhantomBlock, PhantomBlockStore, input_tokens, is_phantom_payload
+from .phantom import PhantomBlockStore, input_tokens
 from ..trace.ops import Op
 
 
@@ -80,19 +78,46 @@ class AEMMachine:
         a full run, so cost observers, sanitizers, wear maps, and metrics
         work unchanged; observers that read atom *contents* declare
         ``needs_payloads = True`` and are rejected at attach. Data-driven
-        algorithms still make bit-identical decisions through the token
-        stash. An atom's *scheduling token* is its ``(key, uid)`` pair
-        (pointer words and numbers are their own token), and a counting
-        machine handles atoms only in that form: :meth:`load_input` is
-        the one place anything is converted (an input that already is
-        tokens, as every measure builds it, passes through), ``write``
-        stashes exactly what it is given, and ``read``/``peek`` and
-        :meth:`collect_output` hand the stashed tuple back, so outputs
-        are verified on both machine modes.
+        algorithms still make bit-identical decisions through the tokens
+        the store keeps. An atom's *scheduling token* is its ``(key,
+        uid)`` pair (pointer words and numbers are their own token), and
+        a counting machine handles atoms only in that form:
+        :meth:`load_input` is the one place anything is converted (an
+        input that already is tokens, as every measure builds it, passes
+        through), ``write`` stores exactly what it is given, and
+        ``read``/``peek`` and :meth:`collect_output` hand the stored tuple
+        back, so outputs are verified on both machine modes.
     flush_every:
         Event-bus batch flush interval, passed through to
         :class:`~repro.machine.core.MachineCore` (``None`` keeps the
         standard interval).
+
+    Per-event operations
+    --------------------
+    Bound in ``__init__`` to the core's one-frame bodies (see
+    :class:`~repro.machine.core.MachineCore`), so each event is a single
+    Python call:
+
+    ``read(addr)``
+        Read one block (cost 1); its atoms become resident internally.
+        On a counting machine the returned sequence is the block's
+        stored tuple — its input tokens or what was last written to it —
+        so data-driven reads still steer identically, or a sized
+        :class:`~repro.machine.phantom.PhantomBlock` for a block written
+        as a phantom payload.
+    ``peek(addr)``
+        Read one block (cost 1) without keeping any of its atoms: an
+        algorithm only inspects the block (e.g. re-reading
+        initialization blocks to identify active arrays in §3.1). The
+        block must still momentarily fit.
+    ``write(addr, items)``
+        Write up to ``B`` atoms to block ``addr`` (cost ``omega``),
+        releasing their slots.
+    ``acquire(count_or_items, what="atoms")`` / ``release(count_or_items)``
+        Account for atoms created / discarded inside internal memory (no
+        I/O cost).
+    ``touch(k=1)``
+        Record ``k`` internal operations (the model's time ``T``).
     """
 
     def __init__(
@@ -107,25 +132,23 @@ class AEMMachine:
     ):
         self.params = params
         self.counting = counting
-        self._B = params.B  # hot-path cache (params is frozen)
-        #: Counting mode only: per-address tuple of what the block holds
-        #: — its input tokens, or exactly the items last written to it.
-        #: Blocks written as phantom payloads have no entry and read back
-        #: as :class:`~repro.machine.phantom.PhantomBlock`. Tuples of
-        #: untrackable values leave CPython's GC scan sets at the first
-        #: pass, which keeps per-I/O GC overhead small on runs that
-        #: write millions of blocks.
-        self._tokens: dict[int, tuple] = {}
         store = PhantomBlockStore(params.B) if counting else BlockStore(params.B)
-        self.core = MachineCore(
+        core = self.core = MachineCore(
             store,
             InternalMemory(params.M, enforce=enforce_capacity),
             flush_every=flush_every,
         )
-        self.disk = self.core.disk
-        self.mem = self.core.mem
-        self._read_cost = 1
-        self._write_cost = params.omega
+        core.write_cost = params.omega
+        self.disk = core.disk
+        self.mem = core.mem
+        # The per-event operations are the core's one-frame bodies, bound
+        # here (documented on the class).
+        self.read = core.read_block
+        self.peek = core.peek_block
+        self.write = core.write_block
+        self.acquire = core.acquire
+        self.release = core.release
+        self.touch = core.touch
         self._cost = self.core.attach(CostObserver(omega=params.omega))
         self._recorder: Optional[TraceRecorder] = None
         for obs in observers:
@@ -195,58 +218,9 @@ class AEMMachine:
         return self._recorder.ops
 
     # ------------------------------------------------------------------
-    # Core I/O operations.
+    # Core I/O operations (read/peek/write/acquire/release/touch are bound
+    # from the core in __init__).
     # ------------------------------------------------------------------
-    def read(self, addr: int) -> list:
-        """Read one block (cost 1); its atoms become resident internally.
-
-        On a counting machine the returned sequence is the block's
-        stashed tuple — its input tokens or what was last written to it —
-        so data-driven reads still steer identically, or a sized
-        :class:`~repro.machine.phantom.PhantomBlock` for a block written
-        as a phantom payload.
-        """
-        if self.counting:
-            return self.core.read_block(
-                addr, self._read_cost, items=self._tokens.get(addr)
-            )
-        return self.core.read_block(addr, self._read_cost)
-
-    def peek(self, addr: int) -> list:
-        """Read one block (cost 1) without keeping any of its atoms.
-
-        Equivalent to ``read`` followed by releasing everything; used when
-        an algorithm only inspects a block (e.g. re-reading initialization
-        blocks to identify active arrays in §3.1). Capacity for the staging
-        is still checked: the block must momentarily fit.
-        """
-        if self.counting:
-            return self.core.read_block(
-                addr, self._read_cost, keep=False, items=self._tokens.get(addr)
-            )
-        return self.core.read_block(addr, self._read_cost, keep=False)
-
-    def write(self, addr: int, items: Sequence) -> None:
-        """Write up to ``B`` atoms to block ``addr`` (cost ``omega``)."""
-        if len(items) > self._B:
-            raise BlockSizeError(
-                f"write of {len(items)} atoms exceeds block size B={self._B}"
-            )
-        if self.counting:
-            # list/tuple payloads (the hot path) skip the phantom
-            # isinstance probe entirely.
-            cls = items.__class__
-            if cls is PhantomBlock or (
-                cls is not list and cls is not tuple and is_phantom_payload(items)
-            ):
-                self._tokens.pop(addr, None)
-            else:
-                # Hot path: one C-speed shallow copy (none when the payload
-                # already is a tuple). A counting algorithm writes only
-                # tokens it read or built, so nothing is converted here.
-                self._tokens[addr] = tuple(items)
-        self.core.write_block(addr, items, self._write_cost)
-
     def write_fresh(self, items: Sequence) -> int:
         """Allocate a new block and write ``items`` to it; returns address."""
         addr = self.disk.allocate_one()
@@ -254,26 +228,11 @@ class AEMMachine:
         return addr
 
     # ------------------------------------------------------------------
-    # Internal memory management for the algorithms.
+    # Phases, rounds, flushing.
     # ------------------------------------------------------------------
-    def release(self, count_or_items) -> None:
-        """Discard atoms from internal memory (no I/O cost)."""
-        k = count_or_items if isinstance(count_or_items, int) else len(count_or_items)
-        self.core.release(k)
-
-    def acquire(self, count_or_items, what: str = "atoms") -> None:
-        """Account for atoms created inside internal memory (no I/O cost)."""
-        k = count_or_items if isinstance(count_or_items, int) else len(count_or_items)
-        self.core.acquire(k, what)
-
-    def touch(self, k: int = 1) -> None:
-        """Record ``k`` internal operations (the model's time ``T``)."""
-        self.core.touch(k)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        with self.core.phase(name):
-            yield
+    def phase(self, name: str) -> ContextManager[None]:
+        """Attribute everything inside the ``with`` block to phase ``name``."""
+        return self.core.phase(name)
 
     def round_boundary(self) -> int:
         """Declare a round boundary (Section 4): drain memory, notify.
@@ -301,8 +260,6 @@ class AEMMachine:
 
     def free(self, addr: int) -> None:
         self.disk.free(addr)
-        if self.counting:
-            self._tokens.pop(addr, None)
 
     def block_len(self, addr: int) -> int:
         """Number of atoms stored in block ``addr`` (cost-free metadata).
@@ -321,44 +278,24 @@ class AEMMachine:
     def load_input(self, items: Iterable) -> list[int]:
         """Place the problem input contiguously in external memory.
 
-        Counting machines stash each input block's scheduling tokens here,
-        so the very first data-driven read already sees real tokens. This
-        is the only place a counting machine converts items to tokens
-        (:func:`~repro.machine.phantom.input_tokens`): an input of atoms
-        is converted once, an input of tokens not at all.
+        A counting machine's store keeps each input block's scheduling
+        tokens, so the very first data-driven read already sees real
+        tokens. This is the only place a counting machine converts items
+        to tokens (:func:`~repro.machine.phantom.input_tokens`): an input
+        of atoms is converted once, an input of tokens not at all.
         """
-        if not self.counting:
-            return self.disk.load_items(items)
-        tokens = input_tokens(items)
-        addrs = self.disk.load_items(tokens)
-        B = self._B
-        stash = self._tokens
-        for i, addr in enumerate(addrs):
-            stash[addr] = tokens[i * B : (i + 1) * B]
-        return addrs
+        return self.disk.load_items(input_tokens(items) if self.counting else items)
 
     def collect_output(self, addrs: Iterable[int]) -> list:
         """Concatenate output blocks for verification (cost-free).
 
         This is the referee reading the output, so it charges nothing. A
-        counting machine returns the blocks' stashed scheduling tokens —
-        an atom's ``(key, uid)``, which is all verification compares — and
+        counting machine returns the blocks' scheduling tokens — an
+        atom's ``(key, uid)``, which is all verification compares — and
         raises :class:`AddressError` for a non-empty block written as a
         phantom payload, whose tokens no one knows.
         """
-        if not self.counting:
-            return self.disk.dump_items(addrs)
-        out: list = []
-        for addr in addrs:
-            tokens = self._tokens.get(addr)
-            if tokens is not None:
-                out.extend(tokens)
-            elif self.block_len(addr):
-                raise AddressError(
-                    f"block {addr} was written as a phantom payload; a "
-                    "counting machine holds no tokens to verify it by"
-                )
-        return out
+        return self.disk.dump_items(addrs)
 
     # ------------------------------------------------------------------
     # Cost readout.

@@ -18,6 +18,15 @@ per-I/O ``cost`` their model charges (``1``/``omega`` for the AEM, the
 transferred volume for the flash model), so every consumer downstream sees
 one uniform event stream regardless of which model produced it.
 
+Every AEM event is one Python frame: ``read_block``, ``peek_block``,
+``write_block``, ``acquire``, ``release`` and ``touch`` (bound by
+:class:`~repro.machine.aem.AEMMachine` as its ``read``, ``peek``,
+``write``, ``acquire``, ``release`` and ``touch``) do their store and
+ledger steps inline and emit inline. :meth:`MachineCore.emit_read` and
+:meth:`MachineCore.emit_write` are the raw entry for machines with
+bespoke transfer shapes (the flash model's sub-block reads), and the
+only other emission code.
+
 Batchable events (read/write/acquire/release/touch) accumulate into one
 reused :class:`~repro.observe.batch.EventBatch` of columnar parallel
 arrays and are *flushed* to consumers at phase enter/exit, round
@@ -34,8 +43,12 @@ per-event handlers in order. Phase and round events are never buffered —
 they are the flush boundaries, so per-phase attribution and round-form
 checks see complete, correctly segmented streams.
 
-Emitting an event that nobody listens to is one truthiness check on an
-empty list, and batching at the semantic level still applies —
+Columns are recorded only while some consumer reads them (the inherited
+replay, or an ``on_batch`` override with ``batch_columns = True``); the
+batch's aggregates and its ``write_addrs`` side list are kept whenever
+anything consumes batches. Emitting an event that nobody listens to is
+one truthiness check on an empty list, and batching at the semantic
+level still applies —
 ``touch(k)`` reports ``k`` internal operations in one event, and block
 transfers are one event per I/O, never per atom.
 """
@@ -43,7 +56,7 @@ transfers are one event per I/O, never per atom.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence, Sized, Union
 
 from ..observe.base import EVENTS, MachineObserver
 from ..observe.batch import (
@@ -56,7 +69,9 @@ from ..observe.batch import (
     EventBatch,
 )
 from .blockstore import BlockStore
+from .errors import BlockSizeError
 from .internal import InternalMemory
+from .phantom import PhantomBlock, is_phantom_payload
 
 #: Lifecycle hooks, called at attach/detach rather than dispatched.
 _LIFECYCLE = ("on_attach", "on_detach")
@@ -107,6 +122,70 @@ def _validate_handler_names(observer: MachineObserver) -> None:
                 )
 
 
+def _block_read(keep: bool):
+    """The one-frame body of :meth:`MachineCore.read_block` (``keep=True``)
+    and :meth:`MachineCore.peek_block` (``keep=False``)."""
+
+    def block_read(
+        self: MachineCore, addr: int, cost: Optional[float] = None
+    ) -> Sequence:
+        """Read one block (cost :attr:`read_cost` unless given).
+
+        ``read_block`` (the machine's ``read``) acquires the block's atoms
+        in the ledger, and the caller now owns their slots;
+        ``peek_block`` (its ``peek``) only checks they *would* fit. A
+        full store hands out a list copy of the block (algorithms mutate
+        the lists they hold). A phantom store hands out the tuple the
+        block holds (its input tokens, or what was last written to it),
+        or a sized :class:`~repro.machine.phantom.PhantomBlock` for a
+        block written as a phantom payload.
+        """
+        try:
+            blk = self.disk._blocks[addr]
+        except KeyError:
+            self.disk.get(addr)  # raises the store's AddressError
+            raise
+        if self.payloads:
+            items = list(blk)
+        else:
+            items = PhantomBlock(blk) if blk.__class__ is int else blk
+        k = len(items)
+        mem = self.mem
+        if keep:
+            occ = mem.occupancy + k
+            if mem.enforce and occ > mem.capacity:
+                mem.acquire(k)  # raises the ledger's CapacityError
+            mem.occupancy = occ
+            if occ > mem.peak:
+                mem.peak = occ
+        elif mem.enforce and mem.occupancy + k > mem.capacity:
+            mem.require(k)  # raises the ledger's CapacityError
+        if cost is None:
+            cost = self.read_cost
+        self.io_count += 1
+        if self._on_read:
+            for cb in self._on_read:
+                cb(addr, items, cost)
+        if self._buffering:
+            batch = self.batch
+            batch.n += 1
+            batch.reads += 1
+            batch.read_cost += cost
+            if self._record_columns:
+                batch.kinds.append(KIND_READ)
+                batch.addrs.append(addr)
+                batch.lengths.append(k)
+                batch.costs.append(cost)
+                batch.occs.append(mem.occupancy)
+            if batch.n >= self.flush_every:
+                self.flush_events()
+        return items
+
+    block_read.__name__ = "read_block" if keep else "peek_block"
+    block_read.__qualname__ = "MachineCore." + block_read.__name__
+    return block_read
+
+
 class MachineCore:
     """Block storage + capacity ledger + observer event bus."""
 
@@ -133,6 +212,10 @@ class MachineCore:
         )
         if self.flush_every < 1:
             raise ValueError("flush_every must be a positive event count")
+        #: Default charges of read_block/write_block; the machine on top
+        #: sets its model's (the AEM: 1 and omega).
+        self.read_cost: float = 1
+        self.write_cost: float = 1
         self.io_count = 0  # total I/O events emitted (reads + writes)
         self.last_drained = 0  # slots drained by the most recent round boundary
         self.observers: list[MachineObserver] = []
@@ -210,9 +293,10 @@ class MachineCore:
         events are flush points, fired after the flush). The columnar
         arrays are only recorded when some attached consumer needs them:
         one relying on the inherited replay, or an ``on_batch`` override
-        with ``batch_columns = True``. Aggregate-only consumers (the cost
-        ledger) leave the columns off, which is the machine's per-I/O
-        fast path.
+        with ``batch_columns = True``. Consumers of the aggregates and
+        the ``write_addrs`` side list (the cost ledger, the profiler,
+        metrics, wear, progress) leave the columns off, which is the
+        machine's per-I/O fast path.
         """
         base = MachineObserver
         for name in EVENTS:
@@ -303,6 +387,7 @@ class MachineCore:
             batch.n += 1
             batch.writes += 1
             batch.write_cost += cost
+            batch.write_addrs.append(addr)
             if self._record_columns:
                 batch.kinds.append(KIND_WRITE)
                 batch.addrs.append(addr)
@@ -313,69 +398,93 @@ class MachineCore:
                 self.flush_events()
 
     # ------------------------------------------------------------------
-    # Ledger-coupled block transfers (the AEM semantics).
+    # The AEM's per-event operations, one frame each. AEMMachine binds
+    # them as read/peek/write/acquire/release/touch. Each does its store
+    # and ledger step inline and emits inline (as emit_read/emit_write
+    # do); the store and the ledger are called only to raise their exact
+    # errors, so a failing operation leaves the state a call through
+    # them would.
     # ------------------------------------------------------------------
-    def read_block(self, addr: int, cost: float, *, keep: bool = True, items=None) -> list:
-        """Read a whole block; its atoms become (or must fit as) resident.
-
-        With ``keep=True`` the atoms are acquired in the ledger (the
-        caller now owns their slots); with ``keep=False`` the ledger only
-        checks they *would* fit (peek semantics). Counting-mode machines
-        pass ``items`` explicitly (their stashed scheduling tokens, or
-        nothing — the phantom block then stands in); the cost, address and
-        length of the event are identical either way.
-        """
-        if items is None:
-            blk = self.disk.get(addr)
-            # Full stores hand out a defensive copy (algorithms mutate the
-            # lists they hold); phantom blocks are immutable and sized, so
-            # the copy would be pure waste.
-            items = list(blk) if self.payloads else blk
-        mem = self.mem
-        k = len(items)
-        if keep:
-            # mem.acquire(k), inlined for the per-I/O hot path; the
-            # overflow case falls back to the real method so the
-            # CapacityError (message, fields) stays exactly the ledger's.
-            occ = mem.occupancy + k
-            if mem.enforce and occ > mem.capacity:
-                mem.acquire(k)
-            else:
-                mem.occupancy = occ
-                if occ > mem.peak:
-                    mem.peak = occ
-        else:
-            mem.require(k)
-        self.emit_read(addr, items, cost)
-        return items
+    # Built from one source by _block_read (above the class): a peek is a
+    # read whose atoms only have to fit, and neither carries that flag
+    # through its call (a functools.partial binding keep=False costs a
+    # kwargs dict per call, more than the frame it saves).
+    read_block = _block_read(keep=True)
+    peek_block = _block_read(keep=False)
 
     def write_block(
-        self, addr: int, items: Sequence, cost: float, *, release: bool = True
+        self,
+        addr: int,
+        items: Sequence,
+        cost: Optional[float] = None,
+        *,
+        release: bool = True,
     ) -> None:
-        """Write a block; with ``release=True`` its atoms leave the ledger."""
-        self.disk.set(addr, items)
-        if release:
-            # mem.release(len(items)), inlined (see read_block); the
-            # underflow case falls back for the exact ReleaseError.
-            mem = self.mem
-            occ = mem.occupancy - len(items)
-            if occ < 0:
-                mem.release(len(items))
-            else:
-                mem.occupancy = occ
-        # Full stores emit the canonical stored tuple (immutable even if the
-        # caller mutates its list afterwards); phantom stores hold sizes
-        # only, and observers on a payload-free core use len(items) alone,
-        # so re-fetching would just build a throwaway PhantomBlock.
-        stored = self.disk.get(addr) if self.payloads else items
-        self.emit_write(addr, stored, cost)
+        """Write up to ``B`` atoms to block ``addr`` (cost :attr:`write_cost`
+        unless given); with ``release=True`` their slots leave the ledger.
 
-    # ------------------------------------------------------------------
-    # Ledger movements initiated by the program (atom creation/destruction
-    # inside internal memory).
-    # ------------------------------------------------------------------
-    def acquire(self, k: int, what: str = "atoms") -> None:
-        self.mem.acquire(k, what)
+        The store keeps ``tuple(items)``; a phantom store keeps only the
+        size of a phantom payload. Observers see the stored tuple, so a
+        caller mutating its list afterwards changes nothing they hold.
+        """
+        n = len(items)
+        disk = self.disk
+        if n > disk.B:
+            raise BlockSizeError(f"write of {n} atoms exceeds block size B={disk.B}")
+        blocks = disk._blocks
+        if addr not in blocks:
+            disk.set(addr, items)  # raises the store's AddressError
+        cls = items.__class__
+        if (
+            self.payloads
+            or cls is list
+            or cls is tuple
+            or not is_phantom_payload(items)
+        ):
+            blocks[addr] = items = tuple(items)
+        else:
+            blocks[addr] = n
+        counts = disk.write_counts
+        counts[addr] = counts.get(addr, 0) + 1
+        mem = self.mem
+        if release:
+            occ = mem.occupancy - n
+            if occ < 0:
+                mem.release(n)  # raises the ledger's ReleaseError
+            mem.occupancy = occ
+        if cost is None:
+            cost = self.write_cost
+        self.io_count += 1
+        if self._on_write:
+            for cb in self._on_write:
+                cb(addr, items, cost)
+        if self._buffering:
+            batch = self.batch
+            batch.n += 1
+            batch.writes += 1
+            batch.write_cost += cost
+            batch.write_addrs.append(addr)
+            if self._record_columns:
+                batch.kinds.append(KIND_WRITE)
+                batch.addrs.append(addr)
+                batch.lengths.append(n)
+                batch.costs.append(cost)
+                batch.occs.append(mem.occupancy)
+            if batch.n >= self.flush_every:
+                self.flush_events()
+
+    def acquire(self, k: Union[int, Sized], what: str = "atoms") -> None:
+        """Claim slots for ``k`` atoms created in internal memory (no I/O
+        cost); ``k`` is a count or a sized sequence of the atoms."""
+        if k.__class__ is not int and not isinstance(k, int):
+            k = len(k)
+        mem = self.mem
+        occ = mem.occupancy + k
+        if k < 0 or (mem.enforce and occ > mem.capacity):
+            mem.acquire(k, what)  # raises the ledger's ValueError/CapacityError
+        mem.occupancy = occ
+        if occ > mem.peak:
+            mem.peak = occ
         for cb in self._on_acquire:
             cb(k, what)
         if self._buffering:
@@ -386,13 +495,21 @@ class MachineCore:
                 batch.addrs.append(-1)
                 batch.lengths.append(k)
                 batch.costs.append(0)
-                batch.occs.append(self.mem.occupancy)
+                batch.occs.append(occ)
                 batch.whats.append(what)
             if batch.n >= self.flush_every:
                 self.flush_events()
 
-    def release(self, k: int) -> None:
-        self.mem.release(k)
+    def release(self, k: Union[int, Sized]) -> None:
+        """Discard ``k`` atoms from internal memory (no I/O cost); ``k`` is
+        a count or a sized sequence of the atoms."""
+        if k.__class__ is not int and not isinstance(k, int):
+            k = len(k)
+        mem = self.mem
+        occ = mem.occupancy - k
+        if k < 0 or occ < 0:
+            mem.release(k)  # raises the ledger's ValueError/ReleaseError
+        mem.occupancy = occ
         for cb in self._on_release:
             cb(k)
         if self._buffering:
@@ -403,7 +520,7 @@ class MachineCore:
                 batch.addrs.append(-1)
                 batch.lengths.append(k)
                 batch.costs.append(0)
-                batch.occs.append(self.mem.occupancy)
+                batch.occs.append(occ)
             if batch.n >= self.flush_every:
                 self.flush_events()
 
@@ -411,6 +528,7 @@ class MachineCore:
     # Time, phases, rounds.
     # ------------------------------------------------------------------
     def touch(self, k: int = 1) -> None:
+        """Record ``k`` internal operations (the model's time ``T``)."""
         if k < 0:
             raise ValueError("cannot record a negative number of touches")
         for cb in self._on_touch:

@@ -41,7 +41,7 @@ from .blockstore import BlockStore
 from .core import MachineCore
 from .errors import AddressError, BlockSizeError, ModelViolationError
 from .internal import InternalMemory
-from .phantom import PhantomBlockStore, input_tokens, is_phantom_payload
+from .phantom import PhantomBlockStore, input_tokens
 
 
 class FlashMachine:
@@ -63,9 +63,9 @@ class FlashMachine:
         ``Bw``.
     counting:
         Payload-free fast path, mirroring
-        :class:`~repro.machine.aem.AEMMachine`'s: the store tracks only
-        occupancies, ``load_input`` stashes the input's scheduling tokens,
-        writes stash exactly what they write, and the event stream
+        :class:`~repro.machine.aem.AEMMachine`'s: the store keeps the
+        input's scheduling tokens from ``load_input`` and exactly what
+        each write writes, instead of atoms, and the event stream
         (addresses, lengths, volumes) is identical to a full run. Note the
         Section 4 trace passes (round conversion, flash reduction) replay
         *recorded* programs and therefore need payloads; counting flash
@@ -94,9 +94,6 @@ class FlashMachine:
         self.Br = Br
         self.Bw = Bw
         self.counting = counting
-        #: Counting mode only: the token stash, exactly as on
-        #: :class:`~repro.machine.aem.AEMMachine` (see its field docs).
-        self._tokens: dict[int, tuple] = {}
         self.core = MachineCore(
             PhantomBlockStore(Bw) if counting else BlockStore(Bw),
             # The model does not enforce a capacity discipline of its own;
@@ -208,11 +205,6 @@ class FlashMachine:
             raise BlockSizeError(
                 f"write of {len(items)} elements exceeds write block size {self.Bw}"
             )
-        if self.counting:
-            if is_phantom_payload(items):
-                self._tokens.pop(addr, None)
-            else:
-                self._tokens[addr] = tuple(items)
         self.disk.set(addr, items)
         self.core.emit_write(addr, self.disk.get(addr), self.Bw)
 
@@ -231,13 +223,10 @@ class FlashMachine:
             raise ModelViolationError(
                 f"read block index {j} out of range for Bw/Br={self.reads_per_write_block}"
             )
-        items = self._tokens.get(addr) if self.counting else None
-        if items is None:
-            # On a counting machine without stashed tokens this is a
-            # PhantomBlock, whose slices are (sized) phantom blocks too.
-            items = self.disk.get(addr)
+        # A counting machine's block of a phantom payload is a
+        # PhantomBlock, whose slices are (sized) phantom blocks too.
         lo, hi = j * self.Br, (j + 1) * self.Br
-        segment = items[lo:hi]
+        segment = self.disk.get(addr)[lo:hi]
         self.core.emit_read(addr, segment, self.Br)
         return segment
 
@@ -270,14 +259,7 @@ class FlashMachine:
     # Problem placement (cost-free).
     # ------------------------------------------------------------------
     def load_input(self, items: Sequence) -> list[int]:
-        if not self.counting:
-            return self.disk.load_items(items)
-        tokens = input_tokens(items)
-        addrs = self.disk.load_items(tokens)
-        Bw = self.Bw
-        for i, addr in enumerate(addrs):
-            self._tokens[addr] = tokens[i * Bw : (i + 1) * Bw]
-        return addrs
+        return self.disk.load_items(input_tokens(items) if self.counting else items)
 
     def collect_output(self, addrs: Sequence[int]) -> list:
         if self.counting:

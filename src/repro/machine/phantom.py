@@ -8,26 +8,27 @@ materializing atom tuples at all, and for large instances the tuple
 copies are most of the simulator's wall time.
 
 :class:`PhantomBlockStore` is the storage half of the counting fast path:
-a drop-in :class:`~repro.machine.blockstore.BlockStore` that tracks only
-per-block *occupancy*. Allocation, freeing, block-size enforcement, wear
-accounting, and snapshot/restore behave exactly like the full store; only
-the contents are gone. Reads hand out :class:`PhantomBlock` — a sized,
-immutable sequence whose elements are all the :data:`PHANTOM` sentinel —
-so any consumer that needs only ``len(items)`` (the cost observers, the
-capacity/cost sanitizers, wear maps, metrics) works unchanged, and any
-consumer that actually looks at an atom sees an unmistakable placeholder
-instead of silently wrong data.
+a drop-in :class:`~repro.machine.blockstore.BlockStore` that keeps each
+block's scheduling tokens (the ``(key, uid)`` an atom orders by; pointer
+words and numbers are their own) instead of atoms, and only the size of
+a block written as a *phantom payload*. Allocation, freeing, block-size
+enforcement, wear accounting, and snapshot/restore behave exactly like
+the full store. A phantom payload reads back as a :class:`PhantomBlock`
+— a sized, immutable sequence whose elements are all the
+:data:`PHANTOM` sentinel — so any consumer that needs only
+``len(items)`` (the cost observers, the capacity/cost sanitizers, wear
+maps, metrics) works unchanged, and any consumer that actually looks at
+an atom sees an unmistakable placeholder instead of silently wrong data.
 
-Machines built with ``counting=True`` own one of these stores; see
-:class:`~repro.machine.aem.AEMMachine` for the token-stash mechanism that
-lets data-driven schedules (the Section 3.1 merge reads blocks in an
-order decided by their contents) still make bit-identical decisions, and
-that output verification reads instead of atom payloads.
+Machines built with ``counting=True`` own one of these stores. The
+tokens it keeps let data-driven schedules (the Section 3.1 merge reads
+blocks in an order decided by their contents) still make bit-identical
+decisions, and output verification reads them instead of atom payloads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence
 
 from .blockstore import BlockStore
 from .errors import AddressError, BlockSizeError
@@ -137,7 +138,7 @@ def token_of(item):
 
 
 def input_tokens(items) -> tuple:
-    """A problem input as the scheduling tokens a counting machine stashes.
+    """A problem input as the scheduling tokens a counting store keeps.
 
     Inputs built for a counting machine already are tokens (the measures
     generate ``(key, uid)`` pairs directly), and one C-level type scan
@@ -152,36 +153,29 @@ def input_tokens(items) -> tuple:
 
 
 class PhantomBlockStore(BlockStore):
-    """A block store that tracks per-block occupancy only.
+    """A block store that keeps scheduling tokens instead of atoms.
 
-    The interface is the full store's; the difference is representational:
-    ``_blocks[addr]`` holds an ``int`` occupancy instead of an atom tuple,
-    ``get`` returns a :class:`PhantomBlock`, and the bulk verification
-    helper ``dump_items`` refuses to run (there is nothing to dump).
-
-    The contents live beside the store, in the owning machine's token
-    stash: a tuple of exactly what each block was last written with
-    (tokens, pointer words, numbers) or, for the input, the tokens
-    :func:`input_tokens` made once at ``load_input``. Reads and
-    :meth:`~repro.machine.aem.AEMMachine.collect_output` hand those
-    tuples back unchanged; a block written as a phantom payload has no
-    entry and reads as a :class:`PhantomBlock`.
+    The interface is the full store's; the difference is representational.
+    ``_blocks[addr]`` holds the tuple the block was loaded or last written
+    with (tokens, pointer words, numbers; for the input, the tokens
+    :func:`input_tokens` made once at ``load_input``), or an ``int`` size
+    for a block written as a phantom payload. ``get`` returns that tuple
+    or a :class:`PhantomBlock`, and ``dump_items`` returns the tokens,
+    raising :class:`AddressError` for a non-empty phantom-payload block,
+    whose tokens no one knows. Allocation, freeing, block-size
+    enforcement, wear and snapshot/restore behave exactly like the full
+    store's, and a restore rewinds the tokens with the sizes.
     """
 
     #: Machines and the core use this to pick payload-free code paths.
     phantom = True
 
-    @staticmethod
-    def _occupancy(entry) -> int:
-        # Freshly allocated blocks are seeded with ``()`` by the base
-        # class; everything written through this store is an int.
-        return entry if isinstance(entry, int) else len(entry)
-
-    def get(self, addr: int) -> PhantomBlock:
+    def get(self, addr: int):
         try:
-            return PhantomBlock(self._occupancy(self._blocks[addr]))
+            entry = self._blocks[addr]
         except KeyError:
             raise AddressError(f"read of unallocated block {addr}") from None
+        return PhantomBlock(entry) if entry.__class__ is int else entry
 
     def set(self, addr: int, items) -> None:
         blocks = self._blocks
@@ -192,27 +186,27 @@ class PhantomBlockStore(BlockStore):
             raise BlockSizeError(
                 f"block {addr}: {n} atoms exceed block size B={self.B}"
             )
-        blocks[addr] = n
+        blocks[addr] = n if is_phantom_payload(items) else tuple(items)
         counts = self.write_counts
         counts[addr] = counts.get(addr, 0) + 1
 
     def load_items(self, items: Iterable) -> list[int]:
-        # Only the count matters; a list or tuple input is not copied.
-        n = len(items) if isinstance(items, (list, tuple)) else len(list(items))
-        addrs = self.allocate(-(-n // self.B))
+        # A tuple input (what input_tokens returns) is sliced, not copied.
+        items = items if items.__class__ is tuple else tuple(items)
+        B = self.B
+        addrs = self.allocate(-(-len(items) // B))
         for i, addr in enumerate(addrs):
-            self._blocks[addr] = min(self.B, n - i * self.B)
+            self._blocks[addr] = items[i * B : (i + 1) * B]
         return addrs
 
     def dump_items(self, addrs: Iterable[int]) -> list:
-        raise AddressError(
-            "a PhantomBlockStore holds occupancies, not contents; "
-            "collect a counting machine's output through its token stash "
-            "(AEMMachine.collect_output)"
-        )
-
-    def snapshot(self) -> Dict[int, Tuple]:
-        # Inherited behavior is already correct (occupancies copy shallowly
-        # like tuples); this override exists only for the docstring.
-        """A copy of the occupancy table (plus the wear epoch; see base)."""
-        return super().snapshot()
+        out: list = []
+        for addr in addrs:
+            blk = self.get(addr)
+            if blk.__class__ is PhantomBlock and blk.n:
+                raise AddressError(
+                    f"block {addr} was written as a phantom payload; a "
+                    "counting machine holds no tokens to verify it by"
+                )
+            out.extend(blk)
+        return out

@@ -82,10 +82,15 @@ class BlockReader:
         return item
 
     def __iter__(self) -> Iterator:
-        while True:
-            if not self._fill():
-                return
-            yield self.take()
+        # Yields straight from the resident block. _pos and _buf are
+        # re-read after every yield, so a caller mixing iteration with
+        # peek/take/drop/close sees (and leaves) the exact position.
+        while self._fill():
+            buf = self._buf
+            while self._buf is buf and self._pos < len(buf):
+                pos = self._pos
+                self._pos = pos + 1
+                yield buf[pos]
 
     def close(self) -> None:
         """Release any atoms still staged in the current block."""

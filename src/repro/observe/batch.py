@@ -26,7 +26,9 @@ aggregate-only consumers (the cost ledger, progress readouts) never need
 the columns at all. When *no* attached consumer needs columns the core
 skips filling them entirely — the per-I/O cost of the default machine
 (one :class:`~repro.observe.CostObserver`) drops to a few inline
-increments.
+increments. The ``write_addrs`` side list (the address of every write,
+in order) is filled whenever the core buffers, columns or not, so
+per-block write counters (wear maps, metrics) stay column-free.
 
 The batch object and its column lists are **reused** across flushes
 (``clear()`` empties them in place). ``on_batch`` implementations must
@@ -70,6 +72,9 @@ class EventBatch:
         capacity checks vectorize without live ledger reads.
     ``whats``
         Side list: the ``what`` labels of acquire events, in order.
+    ``write_addrs``
+        Side list: the address of every write event, in order. Unlike
+        the columns it is recorded whenever the core buffers.
 
     Aggregates (maintained inline at append time, valid even when the
     columns are not being recorded): ``n`` (buffered events), ``reads``,
@@ -84,6 +89,7 @@ class EventBatch:
         "costs",
         "occs",
         "whats",
+        "write_addrs",
         "n",
         "reads",
         "writes",
@@ -100,6 +106,7 @@ class EventBatch:
         self.costs: list[float] = []
         self.occs: list[int] = []
         self.whats: list[str] = []
+        self.write_addrs: list[int] = []
         self.n = 0
         self.reads = 0
         self.writes = 0
@@ -119,6 +126,7 @@ class EventBatch:
         self.costs.clear()
         self.occs.clear()
         self.whats.clear()
+        self.write_addrs.clear()
         self.n = 0
         self.reads = 0
         self.writes = 0

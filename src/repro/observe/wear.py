@@ -14,10 +14,11 @@ while it was attached, so it can scope wear to one algorithm, one phase,
 or one round of a longer run.
 
 Under batched dispatch the map is a vectorized batch consumer: one
-``on_batch`` call walks the kind/addr columns and bumps write counts in a
-tight loop (skipped outright for write-free batches). Readout goes
-through the ``counts`` property, which flushes the owning core first, so
-the histogram is exact whenever it is read.
+``on_batch`` call walks the batch's ``write_addrs`` side list and bumps
+write counts in a tight loop, so it needs none of the per-event columns
+(``batch_columns = False``). Readout goes through the ``counts``
+property, which flushes the owning core first, so the histogram is exact
+whenever it is read.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from typing import Dict, Optional, Sequence
 
 from ..machine.blockstore import WearStats
 from .base import MachineObserver
-from .batch import KIND_WRITE
 
 
 class WearMap(MachineObserver):
     """Per-block write counts, accumulated from write events."""
+
+    batch_columns = False
 
     def __init__(self):
         self._counts: Dict[int, int] = {}
@@ -39,13 +41,10 @@ class WearMap(MachineObserver):
         self._counts[addr] = self._counts.get(addr, 0) + 1
 
     def on_batch(self, batch) -> None:
-        if not batch.writes:
-            return
         counts = self._counts
         get = counts.get
-        for kind, addr in zip(batch.kinds, batch.addrs):
-            if kind == KIND_WRITE:
-                counts[addr] = get(addr, 0) + 1
+        for addr in batch.write_addrs:
+            counts[addr] = get(addr, 0) + 1
 
     # ------------------------------------------------------------------
     # Readout.

@@ -12,7 +12,7 @@ generators below produce the instances the experiments sweep over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,17 +53,25 @@ def _floyd_rows(N: int, delta: int, rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def _columns_valid(cols: Sequence[Sequence[int]], N: int, delta: int) -> bool:
+def _columns_valid(
+    cols: Sequence[Sequence[int]],
+    N: int,
+    delta: int,
+    rows: Optional[np.ndarray] = None,
+) -> bool:
     """Whether every column is ``delta`` strictly increasing int rows in
     ``[0, N)``, checked on one array.
 
-    False means only that this check cannot vouch for ``cols``: a column
-    fails, or the rows are not all ints of one array dtype (the
-    per-column checks decide those).
+    ``rows`` is the array ``cols`` was built from, when there is one (its
+    shape then vouches for every column's length); otherwise the array is
+    built from ``cols``. False means only that this check cannot vouch
+    for ``cols``: a column fails, or the rows are not all ints of one
+    array dtype (the per-column checks decide those).
     """
-    if any(len(rows) != delta for rows in cols):
-        return False
-    rows = np.array(cols)
+    if rows is None:
+        if any(len(r) != delta for r in cols):
+            return False
+        rows = np.array(cols)
     if rows.dtype.kind != "i" or rows.shape != (N, delta):
         return False
     return bool(
@@ -80,11 +88,15 @@ class Conformation:
     N: int
     delta: int
     cols: tuple[tuple[int, ...], ...]  # cols[j] = sorted row indices
+    #: The ``(N, delta)`` array ``cols`` was built from, handed over by
+    #: :meth:`random` so the check need not rebuild it. An init-only
+    #: argument: not stored, so not compared, hashed or shown.
+    _rows: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _rows: Optional[np.ndarray]) -> None:
         if len(self.cols) != self.N:
             raise ValueError(f"expected {self.N} columns, got {len(self.cols)}")
-        if _columns_valid(self.cols, self.N, self.delta):
+        if _columns_valid(self.cols, self.N, self.delta, _rows):
             return
         # Some column fails a check (or holds non-int rows the array
         # check cannot vouch for): the per-column checks find it.
@@ -128,7 +140,9 @@ class Conformation:
                 for _ in range(N)
             )
         else:
-            cols = tuple(map(tuple, _floyd_rows(N, delta, rng).tolist()))
+            rows = _floyd_rows(N, delta, rng)
+            cols = tuple(map(tuple, rows.tolist()))
+            return Conformation(N=N, delta=delta, cols=cols, _rows=rows)
         return Conformation(N=N, delta=delta, cols=cols)
 
     @staticmethod

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..observe.base import MachineObserver
-from ..observe.batch import KIND_WRITE
 from .metrics import MetricsRegistry
 
 #: Label applied to events that happen outside any declared phase.
@@ -38,6 +37,9 @@ class MetricsObserver(MachineObserver):
         The registry to populate; a private one is created by default
         (``.registry`` to read it out either way).
     """
+
+    #: Batch aggregates plus the ``write_addrs`` side list: no columns.
+    batch_columns = False
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -114,9 +116,8 @@ class MetricsObserver(MachineObserver):
             self._write_cost.labels(phase=phase).inc(batch.write_cost)
             block_writes = self._block_writes
             get = block_writes.get
-            for kind, addr in zip(batch.kinds, batch.addrs):
-                if kind == KIND_WRITE:
-                    block_writes[addr] = get(addr, 0) + 1
+            for addr in batch.write_addrs:
+                block_writes[addr] = get(addr, 0) + 1
         if batch.touch_events:
             self._touches.labels(phase=phase).inc(batch.touches)
 

@@ -32,6 +32,18 @@ class OtherParameterName(MachineObserver):
         self.stash = events.lengths  # aem-expect: AEM203
 
 
+class StoresTheWriteAddresses(MachineObserver):
+    """The ``write_addrs`` side list is reused like the columns."""
+
+    def on_batch(self, batch):
+        self.written = batch.write_addrs  # aem-expect: AEM203
+
+
+class CopiesTheWriteAddresses(MachineObserver):
+    def on_batch(self, batch):
+        self.written = list(batch.write_addrs)
+
+
 class CopiesColumns(MachineObserver):
     def on_batch(self, batch):
         self.addrs = list(batch.addrs)

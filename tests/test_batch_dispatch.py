@@ -181,6 +181,29 @@ def test_twins_really_take_the_per_event_path():
     assert core._record_columns is True
 
 
+@pytest.mark.no_sanitize  # the capacity/cost sanitizers read the columns
+def test_columns_recorded_only_for_their_readers():
+    """The ledger, the profiler, metrics, wear and progress read batch
+    aggregates and ``write_addrs`` only, so the core records no columns
+    for them; a column reader attached beside them turns recording on,
+    and detaching it turns it off again."""
+    machine = AEMMachine(P)  # its own CostObserver is attached
+    for obs in (
+        CostProfiler(),
+        MetricsObserver(),
+        WearMap(),
+        ProgressObserver(io.StringIO(), live=False),
+    ):
+        machine.attach(obs)
+    core = machine.core
+    assert core._record_columns is False
+    for reader in (CostProfiler(track_blocks=True), EventLog()):
+        machine.attach(reader)
+        assert core._record_columns is True
+        machine.detach(reader)
+        assert core._record_columns is False
+
+
 # ----------------------------------------------------------------------
 # The scripted-op corpus.
 # ----------------------------------------------------------------------

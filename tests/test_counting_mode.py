@@ -50,10 +50,14 @@ def paired_machines(**kw):
 # ----------------------------------------------------------------------
 class TestPhantomBlockStore:
     def test_occupancy_only(self):
+        # A written list reads back as its tuple; a phantom payload keeps
+        # only its size and reads back as a PhantomBlock of that size.
         store = PhantomBlockStore(B=4)
-        a = store.allocate_one()
+        a, b = store.allocate(2)
         store.set(a, [10, 20, 30])
-        blk = store.get(a)
+        assert store.get(a) == (10, 20, 30) and type(store.get(a)) is tuple
+        store.set(b, PhantomBlock(3))
+        blk = store.get(b)
         assert isinstance(blk, PhantomBlock) and len(blk) == 3
         assert blk[0] is PHANTOM
         assert len(blk[1:]) == 2
@@ -67,9 +71,15 @@ class TestPhantomBlockStore:
 
     def test_dump_items_refuses(self):
         store = PhantomBlockStore(B=4)
-        a = store.allocate_one()
-        with pytest.raises(AddressError):
-            store.dump_items([a])
+        a, b, c = store.allocate(3)
+        store.set(a, [(2, 0), (1, 1)])
+        store.set(b, PhantomBlock(0))
+        assert store.dump_items([a, b, c]) == [(2, 0), (1, 1)]
+        store.set(b, PhantomBlock(2))
+        with pytest.raises(AddressError, match="phantom payload"):
+            store.dump_items([a, b])
+        with pytest.raises(AddressError, match="unallocated"):
+            store.dump_items([a, c + 1])
 
     def test_phantom_block_is_sized_sequence(self):
         blk = PhantomBlock(5)
@@ -476,7 +486,8 @@ def test_counting_run_holds_only_tokens(workload, fields, monkeypatch):
     monkeypatch.setattr(AEMMachine, "__init__", recording_init)
     spec.measure(**config)
     assert machines and all(m.counting for m in machines)
-    stashed = [item for m in machines for blk in m._tokens.values() for item in blk]
+    stashed = [item for m in machines for blk in m.disk._blocks.values()
+               if type(blk) is tuple for item in blk]
     assert stashed
     strays = {type(item).__name__ for item in stashed
               if type(item) not in SELF_TOKEN_TYPES and item is not PHANTOM}
@@ -496,8 +507,8 @@ def test_load_input_of_atoms_stashes_their_tokens(make, n):
     assert from_atoms.load_input(atoms) == from_tokens.load_input(
         [a.sort_token() for a in atoms]
     )
-    assert from_atoms._tokens == from_tokens._tokens
-    assert all(type(blk) is tuple for blk in from_atoms._tokens.values())
+    assert from_atoms.disk._blocks == from_tokens.disk._blocks
+    assert all(type(blk) is tuple for blk in from_atoms.disk._blocks.values())
 
 
 # ----------------------------------------------------------------------

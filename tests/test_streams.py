@@ -68,6 +68,38 @@ class TestReader:
         reader.close()
         assert m.mem.occupancy == 0
 
+    @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
+    def test_iteration_mixes_with_peek_take_drop_close(self, counting):
+        # Iteration yields from the resident block directly; a caller that
+        # peeks, takes or drops between items (also across a block edge)
+        # or closes mid-block must see and leave the exact position.
+        m = AEMMachine(AEMParams(M=32, B=4, omega=2), counting=counting)
+        addrs = m.load_input(make_atoms(range(11)))
+        reader = BlockReader(m, addrs)
+        uid = (lambda t: t[1]) if counting else (lambda a: a.uid)
+        seen, peeked = [], []
+        for item in reader:
+            seen.append(uid(item))
+            m.release(1)
+            if seen[-1] == 1:
+                peeked.append(uid(reader.peek()))
+                seen.append(uid(reader.take()))  # 2
+                m.release(1)
+            elif seen[-1] == 3:
+                peeked.append(uid(reader.peek()))  # 4: loads the next block
+                seen.append(uid(reader.drop()))  # 4
+            elif seen[-1] == 5:
+                seen.append(uid(reader.take()))  # 6
+                seen.append(uid(reader.take()))  # 7: the block is used up
+                m.release(2)
+            elif seen[-1] == 8:
+                reader.close()  # releases 9 and 10, unread
+        assert seen == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert peeked == [2, 4]
+        assert reader.exhausted() and reader.peek() is None
+        assert m.mem.occupancy == 0
+        assert m.reads == 3
+
 
 class TestWriter:
     def test_flushes_full_blocks(self, m):

@@ -257,10 +257,11 @@ class TestMetricsObserver:
         obs = MetricsObserver()
         machine.attach(obs)
         core = machine.core
-        # MetricsObserver is a second batch consumer (needing columns)
-        # plus synchronous phase/round handlers; still no per-I/O lists.
+        # MetricsObserver is a second batch consumer (aggregates plus the
+        # write_addrs side list, no columns) plus synchronous phase/round
+        # handlers; still no per-I/O lists.
         assert len(core._on_batch) == 2
-        assert core._record_columns is True
+        assert core._record_columns is False
         assert len(core._on_read) == 0 and len(core._on_write) == 0
         assert len(core._on_phase_enter) == 2  # ledger + metrics
         assert len(core._on_round_boundary) == 1
