@@ -372,7 +372,7 @@ def cmd_profile(args) -> int:
         return 2
     opts = build_profile_parser(root).parse_args(args.flags)
     if root in api.WORKLOADS:
-        profiler = CostProfiler(root=root, track_blocks=True)
+        profiler = CostProfiler(root=root)
         query = _query(api.WORKLOADS[root], opts)
         api.evaluate(root, query, observers=[profiler])
         profiles = [(root, profiler)]

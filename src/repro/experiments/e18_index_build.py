@@ -97,23 +97,19 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     build_index(
         machine, addrs, pp, n_docs=corpus.n_docs, n_terms=corpus.n_terms
     )
-    phases = machine.counter.phases
-    # Phase costs attribute to the *innermost* phase, so the pipeline
-    # stages roll up by the phases their machinery opens: run generation
-    # bottoms out in the sorter's phases, the layered merge in the
-    # Section 3.1 round phases, and the emission in index/postings.
-    groups = {
-        "run generation": ("small_sort/", "mergesort/", "index/runs"),
-        "layered merge": ("merge/", "index/merge"),
-        "postings emission": ("index/postings",),
+    # The ledger keys costs by phase path, so a pipeline stage is the
+    # subtree under its outermost phase.
+    stages = {
+        "index/runs": "run generation",
+        "index/merge": "layered merge",
+        "index/postings": "postings emission",
     }
-    agg = {
-        stage: [
-            sum(s.reads for n, s in phases.items() if n.startswith(pres)),
-            sum(s.writes for n, s in phases.items() if n.startswith(pres)),
-        ]
-        for stage, pres in groups.items()
-    }
+    agg = {stage: [0, 0] for stage in stages.values()}
+    for path, stats in machine.counter.paths().items():
+        if path and path[0] in stages:
+            totals = agg[stages[path[0]]]
+            totals[0] += stats.reads
+            totals[1] += stats.writes
     res.tables.append(
         format_table(
             ["stage", "Qr", "Qw", "Q"],
@@ -122,7 +118,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 for stage, (r, w) in agg.items()
             ],
             title=f"E18c: per-stage costs at omega={pp.omega}, N={N} "
-            "(innermost-phase attribution rolled up by stage)",
+            "(phase-path costs grouped by outermost phase)",
         )
     )
 

@@ -294,9 +294,9 @@ class MachineCore:
         arrays are only recorded when some attached consumer needs them:
         one relying on the inherited replay, or an ``on_batch`` override
         with ``batch_columns = True``. Consumers of the aggregates and
-        the ``write_addrs`` side list (the cost ledger, the profiler,
-        metrics, wear, progress) leave the columns off, which is the
-        machine's per-I/O fast path.
+        the ``write_addrs`` side list (the cost ledger, metrics, wear,
+        progress) leave the columns off, which is the machine's per-I/O
+        fast path.
         """
         base = MachineObserver
         for name in EVENTS:
@@ -434,6 +434,12 @@ class MachineCore:
         blocks = disk._blocks
         if addr not in blocks:
             disk.set(addr, items)  # raises the store's AddressError
+        mem = self.mem
+        if release:
+            occ = mem.occupancy - n
+            if occ < 0:
+                mem.release(n)  # raises the ledger's ReleaseError
+            mem.occupancy = occ
         cls = items.__class__
         if (
             self.payloads
@@ -446,12 +452,6 @@ class MachineCore:
             blocks[addr] = n
         counts = disk.write_counts
         counts[addr] = counts.get(addr, 0) + 1
-        mem = self.mem
-        if release:
-            occ = mem.occupancy - n
-            if occ < 0:
-                mem.release(n)  # raises the ledger's ReleaseError
-            mem.occupancy = occ
         if cost is None:
             cost = self.write_cost
         self.io_count += 1

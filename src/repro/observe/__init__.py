@@ -11,18 +11,19 @@ itself stays a thin model-semantics veneer.
 The observers shipped here re-implement what used to be hard-wired into
 the machines:
 
-* :class:`CostObserver` — the ``Q = Qr + omega*Qw`` accounting with named
-  phase attribution (wraps a :class:`~repro.machine.cost.CostCounter`);
-  for the flash model the same observer accumulates I/O *volume*.
+* :class:`CostObserver` — the ``Q = Qr + omega*Qw`` accounting,
+  attributed by phase path (drives a
+  :class:`~repro.machine.cost.CostCounter`); for the flash model the same
+  observer accumulates I/O *volume*.
 * :class:`TraceRecorder` — straight-line program recording (the successor
   of the ``record=True`` flag), emitting the exact
   :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`
   sequences the Section 4–5 lower-bound machinery consumes.
 * :class:`WearMap` — per-block write-endurance histogram (NVM wear).
 * :class:`ProgressObserver` — live I/O/phase readout for long CLI runs.
-* :class:`PhaseStack` — the shared nested-phase bookkeeping those
-  consumers (and the telemetry profiler) drive from
-  ``on_phase_enter``/``on_phase_exit``.
+* :class:`LedgerReadout` — the base of the observers that report costs
+  by phase (progress, and telemetry's profiler and metrics): they read
+  the ledger's phase-path table instead of keeping phase stacks.
 
 Dispatch is cheap by construction: a machine core keeps one callback list
 per event kind, populated only with observers that *override* that event,
@@ -37,7 +38,7 @@ points), attach/detach, and every ``flush_every`` events — see
 from .base import EVENTS, MachineObserver
 from .batch import BATCHED_EVENTS, EventBatch
 from .cost import CostObserver
-from .phases import PhaseStack
+from .ledger import LedgerReadout
 from .progress import ProgressObserver
 from .trace import TraceRecorder
 from .wear import WearMap
@@ -47,8 +48,8 @@ __all__ = [
     "EVENTS",
     "CostObserver",
     "EventBatch",
+    "LedgerReadout",
     "MachineObserver",
-    "PhaseStack",
     "ProgressObserver",
     "TraceRecorder",
     "WearMap",

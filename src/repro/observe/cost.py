@@ -2,30 +2,31 @@
 
 :class:`CostObserver` is the event-bus re-implementation of the accounting
 that used to be hard-wired into :class:`~repro.machine.aem.AEMMachine` and
-:class:`~repro.machine.flash.FlashMachine`. It wraps a
+:class:`~repro.machine.flash.FlashMachine`. It drives a
 :class:`~repro.machine.cost.CostCounter`, so everything downstream —
-snapshots, ``Q = Qr + omega*Qw``, named phase attribution — keeps its exact
-legacy semantics, and additionally accumulates the *model cost* each event
-carries: on an AEM machine that sum is redundant with the counter, on a
-flash machine it is the I/O volume (``Br`` per small read, ``Bw`` per
-write), which is that model's notion of cost.
+snapshots, ``Q = Qr + omega*Qw``, the phase-path table — keeps its exact
+semantics. The counter also sums the *model cost* each event carries: on
+an AEM machine that sum is redundant with the counts, on a flash machine
+it is the I/O volume (``Br`` per small read, ``Bw`` per write), which is
+that model's notion of cost.
 
 Every machine attaches one of these at construction; ``machine.counter``,
-``machine.snapshot()`` and friends read through to it.
+``machine.snapshot()`` and friends read through to it, and so do the
+observers that report costs by phase (:mod:`repro.observe.ledger`).
 
 Under batched dispatch this observer is an aggregates-only batch consumer
 (``batch_columns = False``): one ``on_batch`` call per flush adds the
-batch's read/write/touch totals to the counter, attributed to the
-innermost phase — exact, because phase boundaries force a flush. Every
-readout path (the properties and ``snapshot()``/``describe()``) first
-flushes the owning core (held weakly, see
+batch's totals to the counter, attributed to the open phase path — exact,
+because phase boundaries force a flush. Every readout path (the
+properties and ``snapshot()``/``describe()``) first flushes the owning
+core (held weakly, see
 :meth:`~repro.observe.base.MachineObserver.flush_core`), so totals read
 back exact at any moment.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..machine.cost import CostCounter, CostSnapshot
 from .base import MachineObserver
@@ -40,32 +41,22 @@ class CostObserver(MachineObserver):
         The write/read cost ratio of the machine being observed (``1`` for
         symmetric models, including the flash model, whose asymmetry lives
         in the per-event ``cost`` instead).
-    counter:
-        An existing :class:`CostCounter` to drive, for callers that share
-        one counter across machines; a fresh one is created by default.
     """
 
     batch_columns = False
 
-    def __init__(self, omega: float = 1.0, counter: Optional[CostCounter] = None):
-        self._counter = counter if counter is not None else CostCounter(omega)
-        # Accumulated per-event costs. For the AEM these mirror the counter
-        # (read_cost == Qr, write_cost == omega*Qw); for the flash model
-        # they are the read/write I/O volumes.
-        self._read_cost: float = 0
-        self._write_cost: float = 0
+    def __init__(self, omega: float = 1.0):
+        self._counter = CostCounter(omega)
 
     # ------------------------------------------------------------------
     # Per-event handlers (``needs_events`` delivery; the reference the
     # batch path is tested against).
     # ------------------------------------------------------------------
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        self._counter.add_read()
-        self._read_cost += cost
+        self._counter.add_read(1, cost)
 
     def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        self._counter.add_write()
-        self._write_cost += cost
+        self._counter.add_write(1, cost)
 
     def on_touch(self, k: int) -> None:
         self._counter.touch(k)
@@ -77,19 +68,14 @@ class CostObserver(MachineObserver):
         self._counter.exit_phase(name)
 
     def on_batch(self, batch) -> None:
-        # Whole-batch attribution to the innermost phase is exact: phase
+        # Charging the whole batch to the open path is exact: phase
         # transitions flush, so a batch never straddles a boundary. The
-        # underscore fields are used directly — the properties would
-        # re-enter the flush this call is part of.
+        # underscore field is used directly — the ``counter`` property
+        # would re-enter the flush this call is part of.
         counter = self._counter
-        if batch.reads:
-            counter.add_read(batch.reads)
-        if batch.writes:
-            counter.add_write(batch.writes)
-        if batch.touches:
-            counter.touch(batch.touches)
-        self._read_cost += batch.read_cost
-        self._write_cost += batch.write_cost
+        counter.add_read(batch.reads, batch.read_cost)
+        counter.add_write(batch.writes, batch.write_cost)
+        counter.touch(batch.touches)
 
     # ------------------------------------------------------------------
     # Readout (the CostCounter surface, passed through).
@@ -100,24 +86,26 @@ class CostObserver(MachineObserver):
         return self._counter
 
     @property
+    def path(self) -> tuple:
+        """The open phase path (phase events are never buffered, so this
+        reads without a flush)."""
+        return self._counter.path
+
+    @property
     def read_cost(self) -> float:
-        self.flush_core()
-        return self._read_cost
+        return self.counter.read_cost
 
     @read_cost.setter
     def read_cost(self, value: float) -> None:
-        self.flush_core()
-        self._read_cost = value
+        self.counter.read_cost = value
 
     @property
     def write_cost(self) -> float:
-        self.flush_core()
-        return self._write_cost
+        return self.counter.write_cost
 
     @write_cost.setter
     def write_cost(self, value: float) -> None:
-        self.flush_core()
-        self._write_cost = value
+        self.counter.write_cost = value
 
     @property
     def reads(self) -> int:
@@ -134,17 +122,14 @@ class CostObserver(MachineObserver):
     @property
     def total_cost(self) -> float:
         """Sum of per-event costs (the flash model's total volume)."""
-        self.flush_core()
-        return self._read_cost + self._write_cost
+        counter = self.counter
+        return counter.read_cost + counter.write_cost
 
     def snapshot(self) -> CostSnapshot:
         return self.counter.snapshot()
 
     def reset(self) -> None:
-        self.flush_core()
-        self._counter.reset()
-        self._read_cost = 0
-        self._write_cost = 0
+        self.counter.reset()
 
     def describe(self) -> str:
         return self.counter.describe()

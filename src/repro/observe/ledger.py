@@ -1,0 +1,122 @@
+"""Readouts of the machine's phase-path cost ledger.
+
+Every machine keeps one ledger: its always-attached
+:class:`~repro.observe.CostObserver` drives a
+:class:`~repro.machine.cost.CostCounter` that attributes each read,
+write and touch to the phase path open when it happened. The observers
+that report costs by phase — the profiler, the metrics observer, the
+progress line — read that table through :class:`LedgerReadout` instead
+of keeping phase stacks of their own.
+
+A readout may watch several machines, and may attach mid-run. For each
+machine it records the ledger, and the table and totals as they stood at
+attach; it reports what was added since (its *window*). When it is
+detached, or its machine is gone, the window is folded into plain totals
+and the ledger dropped, so a readout shared by many short-lived machines
+keeps no finished machine's ledger. A gone machine is folded at the next
+attach or readout, not from a finalizer: the cyclic garbage collector
+clears weak references before it runs ``MachineCore.__del__``, whose
+flush delivers the machine's last buffered events to its ledger.
+"""
+
+from __future__ import annotations
+
+import weakref
+
+from ..machine.cost import CostRecord, Paths
+from .base import MachineObserver
+from .cost import CostObserver
+
+_NOTHING = CostRecord(Q=0, Qr=0, Qw=0, T=0, peak_mem=0)
+
+
+def _add_paths(into: Paths, paths: Paths) -> None:
+    for path, stats in paths.items():
+        into[path] = into[path].merged(stats) if path in into else stats
+
+
+def _add_records(a: CostRecord, b: CostRecord) -> CostRecord:
+    return CostRecord(
+        Q=a.Q + b.Q,
+        Qr=a.Qr + b.Qr,
+        Qw=a.Qw + b.Qw,
+        T=a.T + b.T,
+        peak_mem=max(a.peak_mem, b.peak_mem),
+    )
+
+
+class _Window:
+    """One watched machine: its ledger, and what that held at attach."""
+
+    __slots__ = ("core", "ledger", "mem", "base", "base_totals")
+
+    def __init__(self, core, ledger: CostObserver):
+        self.core = weakref.ref(core)
+        self.ledger = ledger
+        self.mem = core.mem
+        self.base = ledger.counter.paths()
+        self.base_totals = ledger.snapshot()
+
+    def paths(self) -> Paths:
+        """The table since attach (reading the ledger flushes its core)."""
+        base = self.base
+        return {
+            path: stats - base[path] if path in base else stats
+            for path, stats in self.ledger.counter.paths().items()
+        }
+
+    def totals(self) -> CostRecord:
+        """The ledger's totals since attach, with the machine's peak."""
+        spent = self.ledger.snapshot() - self.base_totals
+        return CostRecord.from_snapshot(spent, peak=self.mem.peak)
+
+
+class LedgerReadout(MachineObserver):
+    """Base of the observers that read the ledger of each machine they
+    are attached to; see the module doc."""
+
+    def __init__(self) -> None:
+        self._windows: list[_Window] = []
+        self._folded: Paths = {}
+        self._folded_totals = _NOTHING
+
+    def on_attach(self, core) -> None:
+        super().on_attach(core)
+        self._live()
+        ledgers = core.find(CostObserver)
+        if ledgers:
+            self._windows.append(_Window(core, ledgers[0]))
+
+    def on_detach(self, core) -> None:
+        super().on_detach(core)
+        for window in self._windows:
+            if window.core() is core:
+                self._fold(window)
+                break
+
+    def _fold(self, window: _Window) -> None:
+        self._windows.remove(window)
+        _add_paths(self._folded, window.paths())
+        self._folded_totals = _add_records(self._folded_totals, window.totals())
+
+    def _live(self) -> list[_Window]:
+        """The windows of machines still alive, after folding the rest."""
+        for window in [w for w in self._windows if w.core() is None]:
+            self._fold(window)
+        return self._windows
+
+    def _paths(self) -> Paths:
+        """Every window's table, summed per path (folded machines first)."""
+        windows = self._live()
+        paths = dict(self._folded)
+        for window in windows:
+            _add_paths(paths, window.paths())
+        return paths
+
+    def _totals(self) -> CostRecord:
+        """Every window's ledger totals, summed (the peak is the largest)."""
+        windows = self._live()
+        total = self._folded_totals
+        for window in windows:
+            total = _add_records(total, window.totals())
+        return total

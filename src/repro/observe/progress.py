@@ -13,7 +13,10 @@ either way, so the final line is always accurate.
 
 Rendering is rate-limited by event count (``every``), not wall clock, to
 keep the observer deterministic and cheap: between renders an event costs
-two integer increments and a comparison.
+two integer increments and a comparison. The phase shown is the open
+phase path of the watched machine's cost ledger, read through
+:class:`~repro.observe.ledger.LedgerReadout`; the closing line lists the
+paths its window visited.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ import os
 import sys
 from typing import IO, Optional, Sequence
 
-from .base import MachineObserver
-from .phases import PhaseStack
+from .ledger import LedgerReadout
 
 #: Environment override: force live frames even on a non-TTY stream.
 PROGRESS_ENV = "REPRO_PROGRESS"
@@ -39,7 +41,7 @@ def _stream_is_live(stream: IO[str]) -> bool:
         return False
 
 
-class ProgressObserver(MachineObserver):
+class ProgressObserver(LedgerReadout):
     """Emit a ``\\r``-refreshed ``Qr/Qw/phase`` status line.
 
     Parameters
@@ -69,6 +71,7 @@ class ProgressObserver(MachineObserver):
     ):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
+        super().__init__()
         self.stream = stream if stream is not None else sys.stderr
         self.every = every
         self.label = label
@@ -76,7 +79,6 @@ class ProgressObserver(MachineObserver):
         self.reads = 0
         self.writes = 0
         self.rounds = 0
-        self.phases = PhaseStack()
         self._pending = 0
 
     # ------------------------------------------------------------------
@@ -101,11 +103,8 @@ class ProgressObserver(MachineObserver):
             self._render()
 
     def on_phase_enter(self, name: str) -> None:
-        self.phases.enter(name)
+        # The ledger, attached first, has already entered the phase.
         self._render()
-
-    def on_phase_exit(self, name: str) -> None:
-        self.phases.exit(name)
 
     def on_round_boundary(self, index: int) -> None:
         self.rounds += 1
@@ -114,7 +113,8 @@ class ProgressObserver(MachineObserver):
     # Rendering.
     # ------------------------------------------------------------------
     def _line(self) -> str:
-        phase = self.phases.render()
+        live = self._windows[-1].ledger.path if self._windows else ()
+        phase = "/".join(live) or "-"
         prefix = f"[{self.label}] " if self.label else ""
         line = f"{prefix}Qr={self.reads} Qw={self.writes} phase={phase}"
         if self.rounds:
@@ -146,8 +146,11 @@ class ProgressObserver(MachineObserver):
         """
         self.flush_core()
         line = self._line()
-        if self.phases.paths:
-            line += f" phases={self.phases.render_paths(limit=8)}"
+        visited = ["/".join(path) for path in self._paths() if path]
+        if len(visited) > 8:
+            visited = visited[:8] + [f"+{len(visited) - 8} more"]
+        if visited:
+            line += f" phases={','.join(visited)}"
         if self.live:
             self.stream.write("\r" + line.ljust(78) + "\n")
         else:

@@ -196,7 +196,7 @@ _PHASE_CALLS = {"enter_phase", "exit_phase"}
 
 # Lattice: a tuple of (phase name or "?", enter line) frames, or None
 # for "paths disagree" (the conflict top).
-_PhaseStack = Optional[Tuple[Tuple[str, int], ...]]
+_PhaseFrames = Optional[Tuple[Tuple[str, int], ...]]
 
 
 def _phase_ops(node: CFGNode) -> List[Tuple[str, str, int]]:
@@ -219,14 +219,14 @@ def _phase_ops(node: CFGNode) -> List[Tuple[str, str, int]]:
     return ops
 
 
-class _PhaseAnalysis(ForwardAnalysis[_PhaseStack]):
+class _PhaseAnalysis(ForwardAnalysis[_PhaseFrames]):
     def __init__(self) -> None:
         self.problems: Set[Tuple[str, int, str]] = set()
 
-    def initial_state(self) -> _PhaseStack:
+    def initial_state(self) -> _PhaseFrames:
         return ()
 
-    def transfer(self, node: CFGNode, state: _PhaseStack) -> _PhaseStack:
+    def transfer(self, node: CFGNode, state: _PhaseFrames) -> _PhaseFrames:
         if state is None:
             return None
         stack = state
@@ -243,7 +243,7 @@ class _PhaseAnalysis(ForwardAnalysis[_PhaseStack]):
                 stack = stack[:-1]
         return stack
 
-    def join(self, a: _PhaseStack, b: _PhaseStack) -> _PhaseStack:
+    def join(self, a: _PhaseFrames, b: _PhaseFrames) -> _PhaseFrames:
         return a if a == b else None
 
 

@@ -2,13 +2,15 @@
 
 The paper's whole object of study is the cost functional
 ``Q = Qr + omega * Qw`` (Section 2). The machines account for it through
-an always-attached :class:`~repro.observe.CostObserver` ("the ledger");
-this sanitizer recomputes everything independently from the raw event
-stream — per-event charges, running totals, and per-phase attribution —
-and reconciles against the ledger at the end of the run. A machine that
-charges the wrong per-I/O cost, or a ledger that was tampered with
-(counters reset mid-run, totals patched), is reported with the exact
-discrepancy.
+an always-attached :class:`~repro.observe.CostObserver` ("the ledger"),
+whose phase-path table every cost-by-phase readout (profiler, metrics,
+progress) reads. This sanitizer is the referee: it shares no code with
+the ledger, recomputes everything independently from the raw event
+stream — per-event charges, running totals, and the attribution to
+every phase path — and reconciles against the ledger at the end of the
+run. A machine that charges the wrong per-I/O cost, or a ledger that was
+tampered with (counters reset mid-run, totals patched, costs charged to
+the wrong path), is reported with the exact discrepancy.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ from ..observe.cost import CostObserver
 from .base import Sanitizer
 
 _TOL = 1e-9
+
+#: The shadow table's columns, in the ledger's order.
+_FIELDS = ("reads", "writes", "read_cost", "write_cost", "touches")
+
+
+def _describe(row) -> str:
+    return " ".join(f"{field}={value:g}" for field, value in zip(_FIELDS, row))
 
 
 class CostSanitizer(Sanitizer):
@@ -51,9 +60,11 @@ class CostSanitizer(Sanitizer):
         self.touches = 0
         self.read_cost_total = 0.0
         self.write_cost_total = 0.0
-        # Shadow phase attribution: name -> [reads, writes, touches].
-        self.phases: dict[str, list[float]] = {}
+        # Shadow attribution: phase path -> [reads, writes, read_cost,
+        # write_cost, touches], ``()`` for events outside any phase.
+        self.phases: dict[tuple[str, ...], list[float]] = {(): [0, 0, 0, 0, 0]}
         self._stack: list[str] = []
+        self._shadow = self.phases[()]
         self._ledger: Optional[CostObserver] = None
         self._omega: Optional[float] = None
         self._reconciled = False
@@ -72,16 +83,18 @@ class CostSanitizer(Sanitizer):
     # ------------------------------------------------------------------
     # Event handlers: independent recount.
     # ------------------------------------------------------------------
-    def _attribute(self, slot: int, amount: float = 1) -> None:
-        # Mirror the ledger's discipline: costs go to the innermost phase.
-        if self._stack:
-            self.phases[self._stack[-1]][slot] += amount
+    def _charge(self, slot: int, cost: float) -> None:
+        # Mirror the ledger's discipline: costs go to the open path.
+        # Slot 0 counts reads (their cost in slot 2), slot 1 writes (slot 3).
+        shadow = self._shadow
+        shadow[slot] += 1
+        shadow[slot + 2] += cost
 
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
         self.events += 1
         self.reads += 1
         self.read_cost_total += cost
-        self._attribute(0)
+        self._charge(0, cost)
         if abs(cost - self.read_cost) > _TOL:
             self.flag(
                 f"read of block {addr} charged {cost}, the model's read "
@@ -93,7 +106,7 @@ class CostSanitizer(Sanitizer):
         self.events += 1
         self.writes += 1
         self.write_cost_total += cost
-        self._attribute(1)
+        self._charge(1, cost)
         if abs(cost - self.write_cost) > _TOL:
             self.flag(
                 f"write of block {addr} charged {cost}, the model's write "
@@ -104,7 +117,7 @@ class CostSanitizer(Sanitizer):
     def on_touch(self, k: int) -> None:
         self.events += 1
         self.touches += k
-        self._attribute(2, k)
+        self._shadow[4] += k
 
     def on_batch(self, batch) -> None:
         # Per-event recount in original order (accumulation order and the
@@ -121,7 +134,7 @@ class CostSanitizer(Sanitizer):
                 self.events += 1
                 self.reads += 1
                 self.read_cost_total += cost
-                self._attribute(0)
+                self._charge(0, cost)
                 if abs(cost - expected_read) > _TOL:
                     self.flag(
                         f"read of block {addr} charged {cost}, the model's "
@@ -132,7 +145,7 @@ class CostSanitizer(Sanitizer):
                 self.events += 1
                 self.writes += 1
                 self.write_cost_total += cost
-                self._attribute(1)
+                self._charge(1, cost)
                 if abs(cost - expected_write) > _TOL:
                     self.flag(
                         f"write of block {addr} charged {cost}, the model's "
@@ -142,12 +155,15 @@ class CostSanitizer(Sanitizer):
             elif kind == KIND_TOUCH:
                 self.events += 1
                 self.touches += length
-                self._attribute(2, length)
+                self._shadow[4] += length
+
+    def _open_path(self) -> None:
+        self._shadow = self.phases.setdefault(tuple(self._stack), [0, 0, 0, 0, 0])
 
     def on_phase_enter(self, name: str) -> None:
         self.events += 1
         self._stack.append(name)
-        self.phases.setdefault(name, [0, 0, 0])
+        self._open_path()
 
     def on_phase_exit(self, name: str) -> None:
         self.events += 1
@@ -160,6 +176,7 @@ class CostSanitizer(Sanitizer):
             )
             return
         self._stack.pop()
+        self._open_path()
 
     # ------------------------------------------------------------------
     # End-of-run reconciliation against the machine's ledger.
@@ -192,15 +209,18 @@ class CostSanitizer(Sanitizer):
                     f"ledger {label} is {ledger_value:g}, raw events give "
                     f"{recomputed:g}"
                 )
-        # Per-phase attribution must agree with the ledger's.
-        for name, (r, w, t) in self.phases.items():
-            snap = counter.phases.get(name)
-            if snap is None:
-                self.flag(f"phase {name!r} seen on the bus but missing from the ledger")
+        # Every phase path's attribution must agree with the ledger's.
+        ledger_paths = counter.paths()
+        for path in dict.fromkeys([*self.phases, *ledger_paths]):
+            name = "/".join(path) or "(no phase)"
+            stats = ledger_paths.get(path)
+            if stats is None:
+                self.flag(f"path {name!r} seen on the bus but missing from the ledger")
                 continue
-            if (snap.reads, snap.writes, snap.touches) != (r, w, t):
+            ledger_row = [getattr(stats, field) for field in _FIELDS]
+            recounted = self.phases.get(path, [0] * len(_FIELDS))
+            if any(abs(a - b) > _TOL for a, b in zip(ledger_row, recounted)):
                 self.flag(
-                    f"phase {name!r}: ledger says reads={snap.reads} "
-                    f"writes={snap.writes} touches={snap.touches}, raw events "
-                    f"give reads={r:g} writes={w:g} touches={t:g}"
+                    f"path {name!r}: ledger says {_describe(ledger_row)}, "
+                    f"raw events give {_describe(recounted)}"
                 )

@@ -1,16 +1,19 @@
-"""Machine events → metrics registry.
+"""Machine events and the cost ledger → metrics registry.
 
-:class:`MetricsObserver` sits on a machine's event bus and aggregates the
-quantities the asymmetric-memory analysis cares about, labeled by the
-innermost phase the machine was in when they happened:
+:class:`MetricsObserver` reads the quantities the asymmetric-memory
+analysis cares about, labeled by innermost phase, from the phase-path
+ledger of each machine it is attached to (it is a
+:class:`~repro.observe.ledger.LedgerReadout`):
 
 * read/write I/O counts per phase (the ``Qr``/``Qw`` split of
   ``Q = Qr + omega*Qw``);
 * read/write *cost* per phase — on an AEM machine the model's charge
   (``1``/``omega``), on a flash machine the transferred volume;
-* internal-operation counts (``T``) per phase, round boundaries;
-* a per-block write histogram, whose percentiles summarize wear the way
-  the write-endurance literature budgets it.
+* internal-operation counts (``T``) per phase;
+
+and counts two things itself from the event bus: round boundaries, and
+per-block writes, whose percentiles summarize wear the way the
+write-endurance literature budgets it.
 
 Like every observer, attaching one is the *opt-in*: a machine with no
 ``MetricsObserver`` never pays a single instruction for any of this —
@@ -19,107 +22,72 @@ the core's per-event callback lists stay exactly as short as before.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..observe.base import MachineObserver
+from ..machine.cost import by_innermost
+from ..observe.ledger import LedgerReadout
 from .metrics import MetricsRegistry
 
 #: Label applied to events that happen outside any declared phase.
 NO_PHASE = "-"
 
 
-class MetricsObserver(MachineObserver):
-    """Aggregate machine events into a :class:`MetricsRegistry`.
+class MetricsObserver(LedgerReadout):
+    """Aggregate the ledger and machine events into a
+    :class:`MetricsRegistry` (``.registry`` to read it out; reading it
+    fills the per-phase families and the wear histogram from the ledger
+    as it stands)."""
 
-    Parameters
-    ----------
-    registry:
-        The registry to populate; a private one is created by default
-        (``.registry`` to read it out either way).
-    """
-
-    #: Batch aggregates plus the ``write_addrs`` side list: no columns.
+    #: The ``write_addrs`` side list only: no columns.
     batch_columns = False
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self._reads = reg.counter(
-            "machine_reads_total", "read I/Os by phase", labels=("phase",)
-        )
-        self._writes = reg.counter(
-            "machine_writes_total", "write I/Os by phase", labels=("phase",)
-        )
-        self._read_cost = reg.counter(
-            "machine_read_cost_total",
-            "summed per-event read cost by phase (AEM: Qr; flash: read volume)",
-            labels=("phase",),
-        )
-        self._write_cost = reg.counter(
-            "machine_write_cost_total",
-            "summed per-event write cost by phase (AEM: omega*Qw; flash: write volume)",
-            labels=("phase",),
-        )
-        self._touches = reg.counter(
-            "machine_touches_total", "internal operations (T) by phase", labels=("phase",)
-        )
+    def __init__(self) -> None:
+        super().__init__()
+        self._registry = reg = MetricsRegistry()
+        self._families = {
+            "reads": reg.counter(
+                "machine_reads_total", "read I/Os by phase", labels=("phase",)
+            ),
+            "writes": reg.counter(
+                "machine_writes_total", "write I/Os by phase", labels=("phase",)
+            ),
+            "read_cost": reg.counter(
+                "machine_read_cost_total",
+                "summed per-event read cost by phase (AEM: Qr; flash: read volume)",
+                labels=("phase",),
+            ),
+            "write_cost": reg.counter(
+                "machine_write_cost_total",
+                "summed per-event write cost by phase (AEM: omega*Qw; flash: write volume)",
+                labels=("phase",),
+            ),
+            "touches": reg.counter(
+                "machine_touches_total",
+                "internal operations (T) by phase",
+                labels=("phase",),
+            ),
+        }
         self._rounds = reg.counter(
             "machine_rounds_total", "declared round boundaries"
         )
-        self._phase_stack: list[str] = []
         # Per-block write counts, folded into the wear histogram at
         # readout (a percentile over *final* counts, not running ones).
         self._block_writes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Event handlers.
+    # Event handlers: wear and rounds (the ledger has the rest).
     # ------------------------------------------------------------------
-    def _phase(self) -> str:
-        return self._phase_stack[-1] if self._phase_stack else NO_PHASE
-
-    def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        phase = self._phase()
-        self._reads.labels(phase=phase).inc()
-        self._read_cost.labels(phase=phase).inc(cost)
-
     def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        phase = self._phase()
-        self._writes.labels(phase=phase).inc()
-        self._write_cost.labels(phase=phase).inc(cost)
         self._block_writes[addr] = self._block_writes.get(addr, 0) + 1
 
-    def on_touch(self, k: int) -> None:
-        self._touches.labels(phase=self._phase()).inc(k)
-
-    def on_phase_enter(self, name: str) -> None:
-        self._phase_stack.append(name)
-
-    def on_phase_exit(self, name: str) -> None:
-        if self._phase_stack:
-            self._phase_stack.pop()
+    def on_batch(self, batch) -> None:
+        block_writes = self._block_writes
+        get = block_writes.get
+        for addr in batch.write_addrs:
+            block_writes[addr] = get(addr, 0) + 1
 
     def on_round_boundary(self, index: int) -> None:
         self._rounds.inc()
-
-    def on_batch(self, batch) -> None:
-        # One labels() resolution per family per flush instead of one per
-        # event; the whole batch shares the innermost phase (exact, since
-        # phase boundaries flush). The ``touch_events`` guard — not
-        # ``touches`` — keeps series creation identical to synchronous
-        # dispatch when a phase only ever reports touch(0).
-        phase = self._phase()
-        if batch.reads:
-            self._reads.labels(phase=phase).inc(batch.reads)
-            self._read_cost.labels(phase=phase).inc(batch.read_cost)
-        if batch.writes:
-            self._writes.labels(phase=phase).inc(batch.writes)
-            self._write_cost.labels(phase=phase).inc(batch.write_cost)
-            block_writes = self._block_writes
-            get = block_writes.get
-            for addr in batch.write_addrs:
-                block_writes[addr] = get(addr, 0) + 1
-        if batch.touch_events:
-            self._touches.labels(phase=phase).inc(batch.touches)
 
     # ------------------------------------------------------------------
     # Readout (buffered events are flushed first, so reads are exact).
@@ -127,7 +95,7 @@ class MetricsObserver(MachineObserver):
     def wear_histogram(self):
         """Per-block write counts as a :class:`~repro.telemetry.metrics.Histogram`."""
         self.flush_core()
-        hist = self.registry.histogram(
+        hist = self._registry.histogram(
             "machine_block_writes", "writes per external block (wear)"
         )
         solo = hist.labels()
@@ -135,18 +103,26 @@ class MetricsObserver(MachineObserver):
         return solo
 
     def per_phase(self) -> Dict[str, dict]:
-        """``{phase: {reads, writes, read_cost, write_cost, touches}}``."""
-        self.flush_core()
+        """``{phase: {reads, writes, read_cost, write_cost, touches}}``.
+
+        The ledger's paths grouped by innermost phase (``-`` outside any
+        phase); a phase lists reads and read cost if it read, writes and
+        write cost if it wrote, and touches if it touched. The registry's
+        per-phase families are set to the same values.
+        """
         out: Dict[str, dict] = {}
-        for family, field in (
-            (self._reads, "reads"),
-            (self._writes, "writes"),
-            (self._read_cost, "read_cost"),
-            (self._write_cost, "write_cost"),
-            (self._touches, "touches"),
-        ):
-            for labels, metric in family.series():
-                out.setdefault(labels["phase"], {})[field] = metric.value
+        for name, s in by_innermost(self._paths(), outside=NO_PHASE).items():
+            fields: dict = {}
+            if s.reads:
+                fields.update(reads=s.reads, read_cost=s.read_cost)
+            if s.writes:
+                fields.update(writes=s.writes, write_cost=s.write_cost)
+            if s.touches:
+                fields["touches"] = s.touches
+            if fields:
+                out[name] = fields
+            for field, value in fields.items():
+                self._families[field].labels(phase=name).value = value
         return out
 
     def summary(self) -> dict:
@@ -163,9 +139,16 @@ class MetricsObserver(MachineObserver):
             "wear": {**wear, "blocks_written": wear["count"]},
         }
 
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The registry, its per-phase families and wear histogram filled
+        from the ledger as it stands (reading flushes the machines)."""
+        self.wear_histogram()
+        self.per_phase()
+        return self._registry
+
     def collect(self) -> dict:
         """The full registry dump (includes the wear histogram)."""
-        self.wear_histogram()  # materialize before collecting
         return self.registry.collect()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

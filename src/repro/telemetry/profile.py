@@ -1,22 +1,19 @@
 """I/O cost-attribution profiling: where Q = Qr + omega*Qw is spent.
 
-:class:`CostProfiler` is a machine observer that mirrors the live nested
-phase stack (via :class:`~repro.observe.phases.PhaseStack`) and
-attributes every I/O to the *stack path* under which it happened —
-``("sort", "form_runs")`` rather than the flat innermost-phase totals
-the cost ledger keeps. On the batched bus it consumes whole
-:class:`~repro.observe.batch.EventBatch` aggregates (phase boundaries
-are flush points, so charging a batch to the current path is exact); a
-``needs_events`` instance's per-event handlers produce the identical
-attribution. It needs no payloads, so it works on counting machines
-unchanged.
+:class:`CostProfiler` reads the phase-path table of the cost ledger every
+machine keeps (:class:`~repro.machine.cost.CostCounter`, driven by the
+machine's :class:`~repro.observe.CostObserver`): every I/O is attributed
+to the *stack path* under which it happened — ``("sort", "form_runs")``
+rather than the innermost phase alone. It consumes no events itself: it
+is a :class:`~repro.observe.ledger.LedgerReadout` of the machines it is
+attached to, so it works on counting machines unchanged.
 
 The cardinal invariant is **conservation**: summed over all paths, the
-attributed Qr / Qw / Q / T equal the machine's own cost ledger — checked
-by :meth:`CostProfiler.conservation_errors` (by default against the
-:class:`~repro.observe.CostObserver` of every machine the profiler was
-attached to) the same way :class:`~repro.sanitize.cost.CostSanitizer`
-reconciles recomputed costs against the ledger.
+attributed Qr / Qw / Q / T equal the ledger's own totals — checked by
+:meth:`CostProfiler.conservation_errors` (by default against the totals
+of every machine the profiler was attached to). The independent recount
+is :class:`~repro.sanitize.cost.CostSanitizer`'s, which reconciles every
+path against raw events.
 
 Exports:
 
@@ -33,192 +30,40 @@ paper's lower bounds constrain), or ``io`` (total I/Os).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..machine.cost import CostRecord
-from ..machine.internal import InternalMemory
-from ..observe.base import MachineObserver
-from ..observe.batch import KIND_READ, KIND_WRITE
-from ..observe.cost import CostObserver
-from ..observe.phases import PhaseStack
-
-#: Selectable attribution weights: name -> PathStats accessor.
-WEIGHTS = ("q", "qw", "qr", "io")
+from ..machine.cost import WEIGHTS, CostRecord, Paths, PathStats
+from ..observe.ledger import LedgerReadout
 
 #: Reconciliation tolerance; costs are exact rational sums of 1/omega
 #: steps accumulated in floats, same as the sanitizer's.
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PathStats:
-    """Attributed totals for one phase-stack path."""
-
-    reads: int = 0
-    writes: int = 0
-    read_cost: float = 0.0
-    write_cost: float = 0.0
-    touches: int = 0
-    blocks: int = 0  # distinct blocks touched (when tracked; else 0)
-
-    @property
-    def q(self) -> float:
-        """The asymmetric cost attributed here (Qr + omega*Qw on an AEM)."""
-        return self.read_cost + self.write_cost
-
-    @property
-    def io(self) -> int:
-        return self.reads + self.writes
-
-    def weight(self, key: str) -> float:
-        if key == "q":
-            return self.q
-        if key == "qw":
-            return self.writes
-        if key == "qr":
-            return self.reads
-        if key == "io":
-            return self.io
-        raise ValueError(f"weight must be one of {WEIGHTS}, got {key!r}")
-
-    def merged(self, other: "PathStats") -> "PathStats":
-        return PathStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            read_cost=self.read_cost + other.read_cost,
-            write_cost=self.write_cost + other.write_cost,
-            touches=self.touches + other.touches,
-            blocks=max(self.blocks, other.blocks),
-        )
-
-    def as_dict(self) -> dict:
-        # Ledger-keyed readout of *attributed* totals (the quantities the
-        # conservation check reconciles), not a shadow cost record.
-        return {  # lint: disable=AEM104
-            "Qr": self.reads,
-            "Qw": self.writes,
-            "Q": self.q,
-            "T": self.touches,
-            "io_count": self.io,
-            "blocks": self.blocks,
-        }
-
-
-Paths = Dict[Tuple[str, ...], PathStats]
-
-
-class CostProfiler(MachineObserver):
-    """Attribute I/O costs to live phase-stack paths; see the module doc.
+class CostProfiler(LedgerReadout):
+    """Attribute I/O costs to phase-stack paths; see the module doc.
 
     Parameters
     ----------
     root:
         The synthetic root frame exported profiles hang under (the
         workload or task label).
-    track_blocks:
-        Also count *distinct* blocks touched per path. This needs the
-        per-event address columns, so it flips ``batch_columns`` on for
-        this instance — slightly more bus work, identical attribution.
     """
 
-    batch_columns = False
-
-    def __init__(self, root: str = "run", *, track_blocks: bool = False):
+    def __init__(self, root: str = "run"):
+        super().__init__()
         self.root = root
-        self.track_blocks = bool(track_blocks)
-        if self.track_blocks:
-            # Instance-level override: this consumer now needs columns.
-            self.batch_columns = True
-        self.stack = PhaseStack()
-        self._paths: Dict[Tuple[str, ...], list] = {}
-        self._blocks: Dict[Tuple[str, ...], set] = {}
-        #: What :meth:`ledger` reads of every machine attached to: its own
-        #: :class:`~repro.observe.CostObserver` (none, or the first one it
-        #: attached) and its internal memory. Neither refers back to the
-        #: core, so a finished machine is freed by reference counting and
-        #: these still read exactly (the core flushes them as it goes).
-        self._ledgers: list[tuple[list, InternalMemory]] = []
 
     # ------------------------------------------------------------------
-    # Event handlers.
-    # ------------------------------------------------------------------
-    def on_attach(self, core) -> None:
-        super().on_attach(core)
-        self._ledgers.append((core.find(CostObserver)[:1], core.mem))
-
-    def _bucket(self) -> list:
-        path = self.stack.current
-        bucket = self._paths.get(path)
-        if bucket is None:
-            # [reads, writes, read_cost, write_cost, touches]
-            bucket = self._paths[path] = [0, 0, 0.0, 0.0, 0]
-        return bucket
-
-    def _blockset(self) -> set:
-        path = self.stack.current
-        blocks = self._blocks.get(path)
-        if blocks is None:
-            blocks = self._blocks[path] = set()
-        return blocks
-
-    def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        bucket = self._bucket()
-        bucket[0] += 1
-        bucket[2] += cost
-        if self.track_blocks:
-            self._blockset().add(addr)
-
-    def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        bucket = self._bucket()
-        bucket[1] += 1
-        bucket[3] += cost
-        if self.track_blocks:
-            self._blockset().add(addr)
-
-    def on_touch(self, k: int) -> None:
-        self._bucket()[4] += k
-
-    def on_batch(self, batch) -> None:
-        # Whole-batch attribution to the current path is exact: phase
-        # boundaries flush before their callbacks fire, so everything in
-        # the batch happened under the current stack.
-        if not batch.n:
-            return
-        bucket = self._bucket()
-        bucket[0] += batch.reads
-        bucket[1] += batch.writes
-        bucket[2] += batch.read_cost
-        bucket[3] += batch.write_cost
-        bucket[4] += batch.touches
-        if self.track_blocks and batch.kinds:
-            blocks = self._blockset()
-            for kind, addr in zip(batch.kinds, batch.addrs):
-                if kind == KIND_READ or kind == KIND_WRITE:
-                    blocks.add(addr)
-
-    def on_phase_enter(self, name: str) -> None:
-        self.stack.enter(name)
-
-    def on_phase_exit(self, name: str) -> None:
-        self.stack.exit(name)
-
-    # ------------------------------------------------------------------
-    # Readout (flush-first, like every observer readout).
+    # Readout (through the ledgers, which flush their cores first).
     # ------------------------------------------------------------------
     def paths(self) -> Paths:
-        """Attribution by stack path (root not included in the keys)."""
-        self.flush_core()
+        """Attribution by stack path (root not included in the keys):
+        every path with a read, write or touch."""
         return {
-            path: PathStats(
-                reads=bucket[0],
-                writes=bucket[1],
-                read_cost=bucket[2],
-                write_cost=bucket[3],
-                touches=bucket[4],
-                blocks=len(self._blocks.get(path, ())),
-            )
-            for path, bucket in self._paths.items()
+            path: stats
+            for path, stats in self._paths().items()
+            if stats.reads or stats.writes or stats.touches
         }
 
     def totals(self) -> PathStats:
@@ -229,21 +74,14 @@ class CostProfiler(MachineObserver):
         return total
 
     def ledger(self) -> CostRecord:
-        """The machine-side ledger: the :class:`~repro.observe.CostObserver`
-        snapshots of every machine this profiler was attached to, summed.
+        """The ledgers' totals over the windows this profiler watched,
+        summed across machines (``peak_mem`` is the largest machine peak).
 
         This, not a measurement's returned record, is what the profiler
         saw: a record may price a sub-range of the run (``search_query``
         prices its query phase only).
         """
-        snaps = [obs.snapshot() for own, _ in self._ledgers for obs in own]
-        return CostRecord(
-            Q=sum(s.Q for s in snaps),
-            Qr=sum(s.reads for s in snaps),
-            Qw=sum(s.writes for s in snaps),
-            T=sum(s.touches for s in snaps),
-            peak_mem=max((mem.peak for _, mem in self._ledgers), default=0),
-        )
+        return self._totals()
 
     def conservation_errors(self, ledger: Optional[Mapping] = None) -> list[str]:
         """Reconcile attributed totals against a cost ledger.
@@ -299,7 +137,7 @@ class CostProfiler(MachineObserver):
         return render_table(self.paths(), weight=weight, top=top, root=self.root)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CostProfiler({self.root!r}, {len(self._paths)} paths)"
+        return f"CostProfiler({self.root!r}, {len(self._windows)} live machine(s))"
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.params import AEMParams
+from repro.engine import ExperimentConfig
 from repro.engine.cache import CACHE_DIR_ENV
+from repro.experiments import run_experiment
 from repro.machine.aem import AEMMachine
 
 pytest_plugins = ("repro.sanitize.pytest_plugin",)
@@ -29,6 +32,19 @@ def _isolated_cache_dir(tmp_path_factory):
         os.environ.pop(CACHE_DIR_ENV, None)
     else:
         os.environ[CACHE_DIR_ENV] = previous
+
+
+@pytest.fixture(scope="session")
+def quick_experiment():
+    """``quick_experiment(eid)``: experiment ``eid``'s full-machine quick run.
+
+    Made once per session and shared: ``test_experiments.py`` asserts it
+    passes and ``test_counting_mode.py`` compares a counting run with it,
+    so the suite runs each experiment once per machine mode.
+    """
+    return functools.cache(
+        lambda eid: run_experiment(eid, ExperimentConfig(budget="quick"))
+    )
 
 
 @pytest.fixture

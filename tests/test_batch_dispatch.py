@@ -107,7 +107,10 @@ def _perfetto_state(p: PerfettoObserver) -> str:
 CONSUMERS = {
     "cost": (
         lambda m: CostObserver(),
-        lambda o: (o.snapshot(), o.counter.phases, o.read_cost, o.write_cost),
+        lambda o: (
+            o.snapshot(), (o.counter.phases, o.counter.paths()), o.read_cost,
+            o.write_cost,
+        ),
     ),
     "wear": (lambda m: WearMap(), lambda o: (dict(o.counts), o.histogram())),
     "progress": (
@@ -115,14 +118,6 @@ CONSUMERS = {
         _progress_state,
     ),
     "metrics": (lambda m: MetricsObserver(), lambda o: o.collect()),
-    "profiler": (
-        lambda m: CostProfiler(),
-        lambda o: {p: s.as_dict() for p, s in o.paths().items()},
-    ),
-    "profiler_blocks": (
-        lambda m: CostProfiler(track_blocks=True),
-        lambda o: {p: s.as_dict() for p, s in o.paths().items()},
-    ),
     "perfetto": (lambda m: PerfettoObserver(), _perfetto_state),
     "spans": (
         lambda m: SpanPhaseRecorder(SPAN),
@@ -183,10 +178,10 @@ def test_twins_really_take_the_per_event_path():
 
 @pytest.mark.no_sanitize  # the capacity/cost sanitizers read the columns
 def test_columns_recorded_only_for_their_readers():
-    """The ledger, the profiler, metrics, wear and progress read batch
-    aggregates and ``write_addrs`` only, so the core records no columns
-    for them; a column reader attached beside them turns recording on,
-    and detaching it turns it off again."""
+    """The ledger, metrics, wear and progress read batch aggregates and
+    ``write_addrs`` only, and the profiler reads the ledger, so the core
+    records no columns for them; a column reader attached beside them
+    turns recording on, and detaching it turns it off again."""
     machine = AEMMachine(P)  # its own CostObserver is attached
     for obs in (
         CostProfiler(),
@@ -197,7 +192,7 @@ def test_columns_recorded_only_for_their_readers():
         machine.attach(obs)
     core = machine.core
     assert core._record_columns is False
-    for reader in (CostProfiler(track_blocks=True), EventLog()):
+    for reader in (EventLog(),):
         machine.attach(reader)
         assert core._record_columns is True
         machine.detach(reader)

@@ -411,11 +411,13 @@ class TestEngineInjection:
 
 # ----------------------------------------------------------------------
 # The headline acceptance: every experiment, counting vs full, at quick
-# sizes — identical records and identical check verdicts.
+# sizes — identical records and identical check verdicts. The full run is
+# the session's shared one (``quick_experiment``), which
+# tests/test_experiments.py asserts passes.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("eid", sorted(REGISTRY))
-def test_experiment_counting_parity(eid):
-    full = run_experiment(eid, ExperimentConfig(budget="quick"))
+def test_experiment_counting_parity(eid, quick_experiment):
+    full = quick_experiment(eid)
     fast = run_experiment(eid, ExperimentConfig(budget="quick", counting=True))
     assert fast.records == full.records
     assert fast.checks == full.checks

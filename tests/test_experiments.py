@@ -1,21 +1,20 @@
 """The experiment suite: every registered experiment runs and passes.
 
 These are the repository's headline reproduction claims; a failing check
-here means a paper claim stopped reproducing. Quick mode keeps the suite
-under a minute.
+here means a paper claim stopped reproducing. Each experiment's quick run
+comes from the session's ``quick_experiment`` fixture, which
+``tests/test_counting_mode.py`` shares for its counting-parity test.
 """
 
 import pytest
 
 from repro.api.measures import measure_permute, measure_sort, measure_spmxv
-from repro.engine import ExperimentConfig
 from repro.experiments import REGISTRY, experiment_order, natural_key, run_experiment
 from repro.experiments.common import ExperimentResult
 from repro.core.params import AEMParams
 from repro.machine.cost import CostRecord
 
 ALL_IDS = sorted(REGISTRY)
-QUICK = ExperimentConfig(budget="quick")
 
 
 def test_registry_has_all_experiments_and_ablations():
@@ -40,8 +39,8 @@ def test_natural_key_orders_numerically():
 
 
 @pytest.mark.parametrize("eid", ALL_IDS)
-def test_experiment_passes(eid):
-    result = run_experiment(eid, QUICK)
+def test_experiment_passes(eid, quick_experiment):
+    result = quick_experiment(eid)
     assert isinstance(result, ExperimentResult)
     failing = [name for name, ok in result.checks.items() if not ok]
     assert not failing, f"{eid} failing checks: {failing}\n\n{result.render()}"
@@ -49,8 +48,8 @@ def test_experiment_passes(eid):
     assert result.records, f"{eid} recorded no measurements"
 
 
-def test_render_contains_checks():
-    r = run_experiment("e12", QUICK)
+def test_render_contains_checks(quick_experiment):
+    r = quick_experiment("e12")
     text = r.render()
     assert "PASS" in text and r.title in text and r.claim in text
 

@@ -311,54 +311,6 @@ class TestFlashEvents:
         assert wear.counts == {addr: 2}
 
 
-class TestPhaseStack:
-    def test_enter_exit_mirrors_nesting(self):
-        from repro.observe import PhaseStack
-
-        stack = PhaseStack()
-        assert stack.current == () and stack.depth == 0
-        stack.enter("sort")
-        stack.enter("merge")
-        assert stack.current == ("sort", "merge")
-        assert stack.render() == "sort/merge"
-        stack.exit("merge")
-        assert stack.current == ("sort",)
-        stack.exit("sort")
-        assert stack.current == () and stack.render() == "-"
-
-    def test_paths_record_first_seen_order(self):
-        from repro.observe import PhaseStack
-
-        stack = PhaseStack()
-        stack.enter("a")
-        stack.enter("b")
-        stack.exit()
-        stack.enter("b")  # re-entry: same path, not re-recorded
-        stack.exit()
-        stack.exit()
-        stack.enter("c")
-        stack.exit()
-        assert stack.paths == [("a",), ("a", "b"), ("c",)]
-        assert stack.render_paths() == "a,a/b,c"
-        assert stack.render_paths(limit=2) == "a,a/b,+1 more"
-
-    def test_exit_with_nothing_open_is_ignored(self):
-        from repro.observe import PhaseStack
-
-        stack = PhaseStack()
-        stack.exit("ghost")  # aborted run: never raises
-        assert stack.current == ()
-
-    def test_len_and_iter(self):
-        from repro.observe import PhaseStack
-
-        stack = PhaseStack()
-        stack.enter("x")
-        stack.enter("y")
-        assert len(stack) == 2
-        assert list(stack) == ["x", "y"]
-
-
 class TestProgressObserver:
     def test_renders_counts_and_phase(self):
         buf = io.StringIO()
@@ -416,10 +368,26 @@ class TestProgressObserver:
                 a = machine.write_fresh([1, 2])
                 machine.release(machine.read(a))
             machine.flush()
-            assert prog.phases.current == ("sort",)
+            assert machine.counter.path == ("sort",)
         assert "phase=sort/merge" in buf.getvalue()
         prog.close()
         assert "phases=sort,sort/merge" in buf.getvalue()
+
+    def test_attached_inside_an_open_phase(self):
+        """The ledger already knows the open path, so a late observer
+        renders it, and closing after the phase exits is clean."""
+        buf = io.StringIO()
+        machine = AEMMachine(P)
+        with machine.phase("sort"):
+            prog = machine.attach(ProgressObserver(buf, every=1, live=True))
+            with machine.phase("merge"):
+                machine.acquire(2)
+                a = machine.write_fresh([1, 2])
+                machine.release(machine.read(a))
+        prog.close()
+        frames = buf.getvalue().split("\r")
+        assert any("phase=sort/merge" in f for f in frames)
+        assert frames[-1].rstrip() == "Qr=1 Qw=1 phase=- phases=sort,sort/merge"
 
     def test_env_forces_live_frames(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROGRESS", "1")
@@ -557,6 +525,32 @@ class TestMachineLifetime:
         assert wear.counts == {addrs[0]: 1}
         (phase,) = metrics.per_phase().values()
         assert (phase["reads"], phase["writes"], phase["touches"]) == (3, 1, 5)
+
+    def test_readouts_see_the_last_events_of_a_core_freed_in_a_cycle(self):
+        """The cyclic collector clears weak references before it runs
+        ``MachineCore.__del__``, whose flush still reaches the readouts."""
+        import gc
+
+        from repro.telemetry import CostProfiler, MetricsObserver
+
+        gc.disable()
+        try:
+            m = AEMMachine(P)
+            prof, metrics = m.attach(CostProfiler()), m.attach(MetricsObserver())
+            for a in m.load_input(range(24)):
+                m.release(m.read(a))
+            m.touch(5)
+            assert m.core.batch.n > 0, "the events must still be buffered"
+            m.core.cycle = m.core  # only the cyclic collector can free it
+            del m
+            gc.collect()
+        finally:
+            gc.enable()
+        assert (prof.ledger().Qr, prof.ledger().T) == (3, 5)
+        assert prof.conservation_errors() == []
+        assert metrics.per_phase() == {
+            "-": {"reads": 3, "read_cost": 3.0, "touches": 5}
+        }
 
     @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
     def test_core_with_profiler_freed_without_gc(self, counting):

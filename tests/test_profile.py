@@ -2,13 +2,14 @@
 
 The cardinal property pinned here is **conservation**: for every
 registered sorter, permuter, and SpMxV algorithm, the profiler's
-per-path attribution sums exactly to the machine's own cost ledger —
-batched *and* per-event (a ``needs_events`` twin in the same run), on
-full *and* counting machines, across
-hypothesis-drawn (M, B, omega, N) points.
-On top of that: the export formats (folded stacks, speedscope JSON,
-the top-N table), sweep-level merging, the engine's ``profile=True``
-collection path, and the ``repro-aem profile`` CLI surface.
+per-path attribution sums exactly to the machine's own cost ledger, on
+full *and* counting machines, across hypothesis-drawn (M, B, omega, N)
+points; and the ledger's batched path table equals a per-event
+(``needs_events``) twin's in the same run. On top of that: windows of
+observers attached mid-run, the export formats (folded stacks,
+speedscope JSON, the top-N table), sweep-level merging, the engine's
+``profile=True`` collection path, and the ``repro-aem profile`` CLI
+surface.
 """
 
 import json
@@ -21,8 +22,10 @@ from repro.api.measures import measure_sort
 from repro.core.params import AEMParams
 from repro.engine import ExperimentConfig, SweepEngine
 from repro.machine.aem import AEMMachine
+from repro.observe import CostObserver
 from repro.permute.base import PERMUTERS
 from repro.sorting.base import SORTERS
+from repro.telemetry import MetricsObserver
 from repro.telemetry.profile import (
     WEIGHTS,
     CostProfiler,
@@ -38,9 +41,9 @@ P = AEMParams(M=64, B=8, omega=4)
 SPMXV_ALGORITHMS = ("naive", "sort_based")
 
 
-def _profiled(workload: str, query: dict, **profiler_kw):
+def _profiled(workload: str, query: dict):
     """(profiler, cost record) for one profiled evaluation."""
-    prof = CostProfiler(root=workload, **profiler_kw)
+    prof = CostProfiler(root=workload)
     rec = api.evaluate(workload, query, observers=[prof])
     return prof, rec
 
@@ -52,6 +55,16 @@ def _query(workload: str, impl: str, *, counting: bool = False) -> dict:
     if workload == "permute":
         return {**base, "permuter": impl}
     return {**base, "n": 128, "delta": 3, "algorithm": impl}
+
+
+class _LedgerTwin(CostObserver):
+    """A per-event cost ledger that also keeps its machine's own."""
+
+    needs_events = True
+
+    def on_attach(self, core):
+        super().on_attach(core)
+        self.machine_ledger = core.find(CostObserver)[0]
 
 
 ALL_CASES = (
@@ -86,17 +99,13 @@ class TestConservation:
                               ("permute", "adaptive"),
                               ("spmxv", "sort_based")])
     def test_batched_events_parity(self, workload, impl):
-        """A per-event twin on the same run attributes identically."""
-        batched = CostProfiler(root=workload)
-        events = CostProfiler(root=workload)
-        events.needs_events = True
-        rec = api.evaluate(
-            workload, _query(workload, impl), observers=[batched, events]
-        )
-        assert events.conservation_errors(rec) == []
-        assert {p: s.as_dict() for p, s in batched.paths().items()} == {
-            p: s.as_dict() for p, s in events.paths().items()
-        }
+        """A per-event ledger twin on the same run attributes identically."""
+        twin = _LedgerTwin()
+        rec = api.evaluate(workload, _query(workload, impl), observers=[twin])
+        paths = twin.machine_ledger.counter.paths()
+        assert paths == twin.counter.paths()
+        assert sum(s.reads for s in paths.values()) == rec["Qr"]
+        assert sum(s.writes for s in paths.values()) == rec["Qw"]
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -112,15 +121,6 @@ class TestConservation:
             observers=[prof],
         )
         assert prof.conservation_errors(rec) == []
-
-    def test_track_blocks_counts_distinct_addresses(self):
-        prof, rec = _profiled("sort", _query("sort", "aem_mergesort"),
-                              track_blocks=True)
-        blocks = [s.blocks for s in prof.paths().values()]
-        assert any(b > 0 for b in blocks)
-        # Distinct blocks per path never exceed I/Os on that path.
-        for stats in prof.paths().values():
-            assert stats.blocks <= stats.io
 
     def test_default_ledger_is_the_machine_ledger(self):
         """Without an argument, conservation reconciles against the
@@ -143,6 +143,40 @@ class TestConservation:
         assert any(e.startswith("Qr:") for e in errors)
 
 
+class TestLedgerWindows:
+    def test_mid_run_attach_reads_only_its_window(self):
+        """Observers attached mid-run and detached before the end report
+        what happened while they were attached, and nothing else."""
+        machine = AEMMachine(P)
+        addrs = machine.load_input(range(4 * P.B))
+
+        def work(tag):
+            with machine.phase(tag):
+                for a in addrs:
+                    machine.release(machine.read(a))
+                machine.acquire(P.B)
+                machine.write(addrs[0], list(range(P.B)))
+                machine.touch(3)
+
+        work("before")
+        prof, metrics = CostProfiler(root="w"), MetricsObserver()
+        machine.attach(prof)
+        machine.attach(metrics)
+        work("during")
+        machine.detach(prof)
+        machine.detach(metrics)
+        work("after")
+        work("during")
+        assert prof.paths() == {
+            ("during",): PathStats(reads=4, writes=1, read_cost=4.0,
+                                   write_cost=P.omega, touches=3)
+        }
+        assert metrics.per_phase() == {
+            "during": {"reads": 4, "read_cost": 4.0, "writes": 1,
+                       "write_cost": P.omega, "touches": 3}
+        }
+
+
 class TestPathStats:
     def test_weight_accessors(self):
         s = PathStats(reads=3, writes=2, read_cost=3.0, write_cost=8.0,
@@ -156,14 +190,15 @@ class TestPathStats:
         with pytest.raises(ValueError):
             s.weight("wall")
 
-    def test_merged_sums_and_blocks_max(self):
+    def test_merged_sums(self):
         a = PathStats(reads=1, writes=2, read_cost=1.0, write_cost=8.0,
-                      touches=3, blocks=4)
+                      touches=3)
         b = PathStats(reads=10, writes=1, read_cost=10.0, write_cost=4.0,
-                      touches=1, blocks=2)
+                      touches=1)
         m = a.merged(b)
         assert (m.reads, m.writes, m.touches) == (11, 3, 4)
-        assert m.blocks == 4  # distinct-block counts don't add across runs
+        assert (m.read_cost, m.write_cost) == (11.0, 12.0)
+        assert m - b == a
 
 
 class TestExports:

@@ -242,6 +242,17 @@ class TestMetricsObserver:
         assert "machine_block_writes" in out
         assert "machine_reads_total" in out
 
+    def test_registry_read_directly_is_filled(self):
+        """``.registry`` is a readout: the per-phase families and the wear
+        histogram are filled without a prior collect() or summary()."""
+        obs = MetricsObserver()
+        machine = run_sort(n=100, observers=[obs])
+        text = obs.registry.render_prometheus()
+        assert 'machine_reads_total{phase="' in text
+        assert 'machine_block_writes{quantile="' in text
+        reads = obs.registry.collect()["machine_reads_total"]
+        assert sum(s["value"] for s in reads["series"]) == machine.reads
+
     @pytest.mark.no_sanitize  # counts exact listeners; sanitizers add theirs
     def test_no_observer_means_no_extra_callbacks(self):
         """Acceptance: with no MetricsObserver attached, the metrics layer
@@ -257,13 +268,13 @@ class TestMetricsObserver:
         obs = MetricsObserver()
         machine.attach(obs)
         core = machine.core
-        # MetricsObserver is a second batch consumer (aggregates plus the
-        # write_addrs side list, no columns) plus synchronous phase/round
-        # handlers; still no per-I/O lists.
+        # MetricsObserver is a second batch consumer (the write_addrs side
+        # list, no columns) plus a synchronous round handler; it reads
+        # phases from the ledger. Still no per-I/O lists.
         assert len(core._on_batch) == 2
         assert core._record_columns is False
         assert len(core._on_read) == 0 and len(core._on_write) == 0
-        assert len(core._on_phase_enter) == 2  # ledger + metrics
+        assert len(core._on_phase_enter) == 1  # the ledger
         assert len(core._on_round_boundary) == 1
         machine.detach(obs)
         assert len(core._on_batch) == 1
@@ -285,7 +296,11 @@ class TestMetricsObserver:
         machine.attach(obs)
         assert obs.on_batch not in core._on_batch
         grown = {name: len(getattr(machine.core, "_" + name)) for name in baseline}
-        assert grown == {name: n + 1 for name, n in baseline.items()}
+        # It reads phases from the ledger; it handles writes and rounds.
+        overridden = {"on_write", "on_round_boundary"}
+        assert grown == {
+            name: n + (name in overridden) for name, n in baseline.items()
+        }
         machine.detach(obs)
         restored = {name: len(getattr(machine.core, "_" + name)) for name in baseline}
         assert restored == baseline
