@@ -2,10 +2,9 @@
 """Release gate: everything a maintainer checks before tagging.
 
 Runs, in order: the import surface, every example script, the quick
-experiment suite (all checks must pass), and reports timing. The test and
-benchmark suites are deliberately left to pytest (`pytest tests/` /
-`pytest benchmarks/ --benchmark-only`) — this script covers the parts
-pytest does not.
+experiment suite (all checks must pass), and reports timing. The test
+suite is deliberately left to pytest (`pytest tests/`) and host timing to
+`perfbench/` — this script covers the parts they do not.
 
 Usage:  python scripts/check_release.py
 """

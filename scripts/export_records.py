@@ -21,7 +21,7 @@ from repro.experiments import REGISTRY, run_experiment
 
 
 def export(eid: str, outdir: Path, *, quick: bool) -> Path:
-    result = run_experiment(eid, ExperimentConfig.from_quick(quick))
+    result = run_experiment(eid, ExperimentConfig(budget="quick" if quick else "full"))
     fields: list[str] = []
     for rec in result.records:
         for key in rec:

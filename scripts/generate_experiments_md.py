@@ -23,13 +23,13 @@ figures**; its quantitative content is the theorems. DESIGN.md's experiment
 index derives one experiment per claim; this file records the output of the
 full-size suite (the committed record; regenerate with
 `python scripts/generate_experiments_md.py`, or run any single experiment
-with `repro-aem exp <id>` / `pytest benchmarks/ --benchmark-only`).
+with `repro-aem exp <id>`).
 
 Reproduction standard: we match **shapes**, not absolute constants — who
 wins, what grows at which rate, where crossovers fall, and that every lower
 bound sits below every measured cost. Each experiment's `Checks` section is
 the machine-verified form of its claim; the same checks run in the test
-suite (`tests/test_experiments.py`) and the benchmarks.
+suite (`tests/test_experiments.py`) and in every `repro-aem exp` run.
 
 Summary of deviations from the paper (full list in DESIGN.md §6):
 heapsort is implemented as replacement-selection + omega*m-way merging;
@@ -51,7 +51,7 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.time()
-    results = run_all(ExperimentConfig.from_quick(args.quick))
+    results = run_all(ExperimentConfig(budget="quick" if args.quick else "full"))
     elapsed = time.time() - t0
 
     parts = [PREAMBLE]

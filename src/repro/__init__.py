@@ -31,8 +31,8 @@ The package provides:
   the one object describing how an experiment run executes;
 * :mod:`repro.telemetry` — durable observability artifacts: a labeled
   metrics registry fed by :class:`MetricsObserver`, Chrome-trace/Perfetto
-  export (:class:`PerfettoObserver`), JSONL run manifests, engine task
-  spans, and the ``BENCH_*.json`` benchmark-trajectory gate.
+  export (:class:`PerfettoObserver`), JSONL run manifests and engine task
+  spans.
 
 Quickstart::
 

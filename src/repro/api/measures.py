@@ -6,10 +6,8 @@ returns a typed :class:`~repro.machine.cost.CostRecord`. They are
 top-level functions taking only picklable arguments, so the sweep engine
 can fan them out to worker processes and memoize them by content hash.
 
-These used to live in :mod:`repro.experiments.common`; that module keeps
-deprecation shims so old call paths still work. New code — the CLI, the
-experiments, the cost-oracle server — routes here through the
-:mod:`repro.api` facade (:func:`repro.api.evaluate` /
+The CLI, the experiments and the cost-oracle server route here through
+the :mod:`repro.api` facade (:func:`repro.api.evaluate` /
 :func:`repro.api.sweep`), which adds query validation and engine routing
 on top.
 """

@@ -37,8 +37,6 @@ appended to ``DIR/manifest.jsonl`` (config, costs, wall time, engine
 stats, package version) and a ``DIR/trace.json`` loadable in
 ``ui.perfetto.dev`` — machine phases as spans and I/O counter tracks for
 the workload runners, engine worker-lane task spans for ``exp``.
-``repro-aem bench`` runs the benchmark trajectory suite and gates wall
-times against the committed baseline (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -176,6 +174,14 @@ def _engine_summary(engine) -> dict:
 
 
 def cmd_exp(args) -> int:
+    eid = args.id.lower()
+    if eid != "all" and eid not in REGISTRY:
+        print(
+            f"exp: unknown experiment {args.id!r} "
+            f"(expected 'all' or one of {sorted(REGISTRY)})",
+            file=sys.stderr,
+        )
+        return 2
     config = ExperimentConfig(
         budget="full" if args.full else "quick",
         jobs=args.jobs,
@@ -190,7 +196,7 @@ def cmd_exp(args) -> int:
         engine.telemetry = EngineTelemetry()
     t0 = time.perf_counter()
     with use_engine(engine):
-        if args.id.lower() == "all":
+        if eid == "all":
             results = run_all(config)
         else:
             results = [run_experiment(args.id, config)]
@@ -799,16 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_machine_args(ins)
     ins.set_defaults(fn=cmd_inspect)
-
-    from .telemetry import bench as bench_mod
-
-    bn = sub.add_parser(
-        "bench",
-        help="run the benchmark suite, emit a BENCH_<stamp>.json trajectory "
-        "point, and gate against the committed baseline",
-    )
-    bench_mod.add_arguments(bn)
-    bn.set_defaults(fn=bench_mod.run)
 
     sv = sub.add_parser(
         "serve",

@@ -4,9 +4,7 @@ The old API threaded a bare ``quick: bool`` through ``run_experiment`` /
 ``run_all`` / every registered runner. That flag is now one field of a
 frozen :class:`ExperimentConfig` carrying everything execution-related —
 budget, sweep seed, parallelism, cache policy, extra observers — passed
-once and visible to every layer (runner, sweep helpers, engine, CLI,
-benchmarks). :meth:`ExperimentConfig.from_quick` maps a legacy boolean
-onto a config.
+once and visible to every layer (runner, sweep helpers, engine, CLI).
 """
 
 from __future__ import annotations
@@ -80,11 +78,6 @@ class ExperimentConfig:
     def quick(self) -> bool:
         """Back-compat view of the budget (``budget == "quick"``)."""
         return self.budget == "quick"
-
-    @classmethod
-    def from_quick(cls, quick: bool, **overrides) -> "ExperimentConfig":
-        """The config equivalent of the legacy ``quick=`` flag."""
-        return cls(budget="quick" if quick else "full", **overrides)
 
     def with_budget(self, budget: str) -> "ExperimentConfig":
         return replace(self, budget=budget)

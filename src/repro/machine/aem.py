@@ -62,14 +62,10 @@ class AEMMachine:
     enforce_capacity:
         If true (default), exceeding ``M`` resident atoms raises
         :class:`~repro.machine.errors.CapacityError`.
-    record:
-        Legacy switch: attach a :class:`~repro.observe.TraceRecorder` so
-        every I/O is appended to :attr:`trace` as a
-        :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`.
-        New code passes a ``TraceRecorder`` in ``observers`` instead.
     observers:
         Additional :class:`~repro.observe.MachineObserver` instances to
-        attach at construction (wear maps, progress readouts, ...).
+        attach at construction (trace recorders, wear maps, progress
+        readouts, ...).
     counting:
         Counting fast path: back the machine with a
         :class:`~repro.machine.phantom.PhantomBlockStore` so no atom
@@ -125,7 +121,6 @@ class AEMMachine:
         params: AEMParams,
         *,
         enforce_capacity: bool = True,
-        record: bool = False,
         observers: Sequence[MachineObserver] = (),
         counting: bool = False,
         flush_every: Optional[int] = None,
@@ -153,8 +148,6 @@ class AEMMachine:
         self._recorder: Optional[TraceRecorder] = None
         for obs in observers:
             self.attach(obs)
-        if record and self._recorder is None:
-            self.attach(TraceRecorder())
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -204,11 +197,6 @@ class AEMMachine:
     def recorder(self) -> Optional[TraceRecorder]:
         """The trace recorder, when one is attached."""
         return self._recorder
-
-    @property
-    def record(self) -> bool:
-        """Whether I/Os are being recorded (a ``TraceRecorder`` is attached)."""
-        return self._recorder is not None
 
     @property
     def trace(self) -> list[Op]:

@@ -23,8 +23,8 @@ def em_params(M: int, B: int) -> AEMParams:
 def em_machine(M: int, B: int, **kwargs) -> AEMMachine:
     """A symmetric EM machine: an AEM machine with ``omega = 1``.
 
-    Keyword arguments (``enforce_capacity``, ``record``, ``observers``,
-    ``counting``, ``flush_every``) pass through to
+    Keyword arguments (``enforce_capacity``, ``observers``, ``counting``,
+    ``flush_every``) pass through to
     :class:`~repro.machine.aem.AEMMachine` — in particular the counting
     fast path and the batched event bus are available here too, and the
     machine's own :class:`~repro.observe.CostObserver` is detach-guarded

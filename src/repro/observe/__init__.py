@@ -15,9 +15,8 @@ the machines:
   attributed by phase path (drives a
   :class:`~repro.machine.cost.CostCounter`); for the flash model the same
   observer accumulates I/O *volume*.
-* :class:`TraceRecorder` — straight-line program recording (the successor
-  of the ``record=True`` flag), emitting the exact
-  :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`
+* :class:`TraceRecorder` — straight-line program recording, emitting the
+  exact :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`
   sequences the Section 4–5 lower-bound machinery consumes.
 * :class:`WearMap` — per-block write-endurance histogram (NVM wear).
 * :class:`ProgressObserver` — live I/O/phase readout for long CLI runs.

@@ -1,12 +1,11 @@
 """Program recording as an observer.
 
-:class:`TraceRecorder` replaces the machines' ``record=True`` flag: it
-appends one :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`
-per I/O event, producing exactly the straight-line *programs* that the
-paper's Section 4–5 machinery (round conversion, flash reduction,
-usefulness analysis) consumes. The op sequence is identical to what the
-legacy flag produced — a property the tests pin — so recorded programs
-remain byte-compatible with every existing trace transformation.
+:class:`TraceRecorder` appends one :class:`~repro.trace.ops.ReadOp` /
+:class:`~repro.trace.ops.WriteOp` per I/O event, in execution order,
+producing exactly the straight-line *programs* that the paper's Section
+4–5 machinery (round conversion, flash reduction, usefulness analysis)
+consumes. Attach it with ``observers=[TraceRecorder()]``; the machine's
+``recorder`` and ``trace`` properties read the first one attached.
 
 Round boundaries declared through the bus (``machine.round_boundary()``)
 are captured as op indices, ready for

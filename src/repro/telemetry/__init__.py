@@ -27,9 +27,7 @@ diff, and load into other tools:
   I/O cost-attribution profiler (per-phase-path ``Qr``/``Qw``/``Q``
   attribution, folded-stack and speedscope export);
 * :mod:`~repro.telemetry.manifest` — the JSONL run manifest every
-  ``--telemetry-dir`` invocation appends to;
-* :mod:`~repro.telemetry.bench` — the ``BENCH_<stamp>.json`` benchmark
-  trajectory and its CI regression gate.
+  ``--telemetry-dir`` invocation appends to.
 
 Everything is attach-to-observe: a run without telemetry observers pays
 nothing beyond the machine core's empty-callback-list check.

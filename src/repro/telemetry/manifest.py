@@ -1,8 +1,8 @@
 """Run manifests: one JSONL record per CLI invocation.
 
-Every ``exp``/``sort``/``permute``/``spmxv``/``bench`` run invoked with
-``--telemetry-dir DIR`` appends one line to ``DIR/manifest.jsonl``:
-what ran (command + full config), what it cost (the
+Every ``exp`` or workload-runner (``sort``, ``permute``, ...) run
+invoked with ``--telemetry-dir DIR`` appends one line to
+``DIR/manifest.jsonl``: what ran (command + full config), what it cost (the
 :class:`~repro.machine.cost.CostRecord` and/or per-experiment results),
 how long it took, how the engine behaved (cache hits/misses, worker
 utilization), and under which package version — everything needed to
@@ -10,8 +10,7 @@ compare runs across machines, flags, and PRs without re-running them.
 
 Append-only JSONL is deliberate: records from concurrent runs interleave
 without coordination (one ``write`` per line), and downstream tooling
-(`jq`, pandas, the bench-trajectory gate) streams it without loading
-the whole history.
+(`jq`, pandas) streams it without loading the whole history.
 """
 
 from __future__ import annotations

@@ -161,7 +161,7 @@ class Recorder:
     the program carries everything replay needs. Recording itself is a
     :class:`~repro.observe.TraceRecorder` observer on the machine's event
     bus; a machine passed in must already have one attached (construct it
-    with ``observers=[TraceRecorder()]`` or the legacy ``record=True``).
+    with ``observers=[TraceRecorder()]``).
     """
 
     def __init__(self, params: AEMParams, *, machine: "Optional[AEMMachine]" = None):
@@ -175,7 +175,7 @@ class Recorder:
         if self.machine.recorder is None:
             raise TraceError(
                 "the recorder's machine must have a TraceRecorder attached "
-                "(construct it with observers=[TraceRecorder()] or record=True)"
+                "(construct it with observers=[TraceRecorder()])"
             )
         self._input_addrs: list[int] = []
         self._initial: Optional[Dict[int, Tuple]] = None

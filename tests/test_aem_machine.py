@@ -6,6 +6,7 @@ from repro.atoms.atom import make_atoms
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
 from repro.machine.errors import BlockSizeError, CapacityError
+from repro.observe import TraceRecorder
 from repro.trace.ops import ReadOp, WriteOp
 
 
@@ -100,7 +101,7 @@ class TestForAlgorithm:
 
 class TestTracing:
     def test_trace_records_ops_in_order(self):
-        machine = AEMMachine(AEMParams(M=32, B=4, omega=2), record=True)
+        machine = AEMMachine(AEMParams(M=32, B=4, omega=2), observers=[TraceRecorder()])
         addrs = machine.load_input(make_atoms(range(4)))
         blk = machine.read(addrs[0])
         out = machine.write_fresh(blk)
@@ -111,7 +112,7 @@ class TestTracing:
         assert machine.trace[1].addr == out
 
     def test_trace_captures_uids_and_items(self):
-        machine = AEMMachine(AEMParams(M=32, B=4, omega=2), record=True)
+        machine = AEMMachine(AEMParams(M=32, B=4, omega=2), observers=[TraceRecorder()])
         atoms = make_atoms([10, 20])
         addrs = machine.load_input(atoms)
         blk = machine.read(addrs[0])

@@ -117,6 +117,12 @@ class TestRegistryDrivenCommands:
         assert err.startswith("repro-aem: error: bad machine parameters")
         assert "Traceback" not in err
 
+    def test_unknown_experiment_is_a_usage_error(self, capsys):
+        assert main(["exp", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("exp: unknown experiment 'nope'")
+        assert "Traceback" not in err
+
     def test_unknown_distribution_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sort", "--distribution", "bogus"])
@@ -357,15 +363,6 @@ class TestTelemetryDir:
         capsys.readouterr()
         commands = [r["command"] for r in read_manifest(tmp_path)]
         assert commands == ["permute", "spmxv"]
-
-
-class TestBenchCommand:
-    def test_bench_parser_wired(self):
-        args = build_parser().parse_args(
-            ["bench", "--repeats", "3", "--threshold", "1.5", "--no-gate"]
-        )
-        assert args.repeats == 3 and args.threshold == 1.5 and args.no_gate
-        assert args.fn.__module__ == "repro.telemetry.bench"
 
 
 class TestCheckCommand:

@@ -3,8 +3,8 @@
 Covers the PR-2 acceptance surface: parallel output identical to serial
 on a real experiment, cache hit/miss/invalidation along every key
 component (config, seed, version), resumability after a simulated
-mid-sweep kill, the warm-cache speedup, and the ``quick=`` deprecation
-shim around :class:`ExperimentConfig`.
+mid-sweep kill, the warm-cache speedup, and :class:`ExperimentConfig`'s
+validation.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ class TestAmbientEngine:
 
 
 # ----------------------------------------------------------------------
-# The ExperimentConfig API and its deprecation shim.
+# The ExperimentConfig API.
 # ----------------------------------------------------------------------
 class TestExperimentConfig:
     def test_defaults(self):
@@ -397,10 +397,6 @@ class TestExperimentConfig:
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs"):
             ExperimentConfig(jobs=0)
-
-    def test_from_quick(self):
-        assert ExperimentConfig.from_quick(True).budget == "quick"
-        assert ExperimentConfig.from_quick(False).budget == "full"
 
     def test_make_engine_reflects_policy(self, tmp_path):
         cfg = ExperimentConfig(jobs=3, cache=True, cache_dir=str(tmp_path), seed=9)

@@ -12,11 +12,9 @@ Reference instance: (M=64, B=8, omega=4); sorting N=2000 uniform keys
 random conformation (seed 42), and the search workload on N=2000
 postings (seed 42, 64 queries).
 
-BENCH_GOLDEN pins the ``repro-aem bench`` suite's 14 cases at
-(M=128, B=16, omega=8) with their default seeds, values from
-``benchmarks/BENCH_baseline.json``: the merge at 20 runs, and the
-counting twins next to their full cases. The instances are restated
-here rather than imported from the suite, so the pins outlive it.
+BENCH_GOLDEN pins 14 larger cases at (M=128, B=16, omega=8) with their
+default seeds: the merge at 20 runs, a machine-bound B=128 streaming
+probe, and counting twins next to their full cases.
 """
 
 import pytest
@@ -73,7 +71,8 @@ QUERY_PHASE_GOLDEN = [
 ]
 
 
-# (case, (Q, Qr, Qw, T, peak_mem)) — the bench suite's names and instances.
+# (case, (Q, Qr, Qw, T, peak_mem)); a ``/counting`` case runs its twin's
+# instance on a counting machine.
 BENCH_GOLDEN = [
     ("index/build/n8000", (26361, 7137, 2403, 88478, 178)),
     ("index/build/n8000/counting", (26361, 7137, 2403, 88478, 178)),

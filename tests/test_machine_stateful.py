@@ -20,6 +20,7 @@ from repro.atoms.atom import Atom
 from repro.core.params import AEMParams
 from repro.machine.aem import AEMMachine
 from repro.machine.errors import CapacityError
+from repro.observe import TraceRecorder
 
 
 class MachineModel(RuleBasedStateMachine):
@@ -28,7 +29,7 @@ class MachineModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.params = AEMParams(M=24, B=4, omega=3)
-        self.machine = AEMMachine(self.params, record=True)
+        self.machine = AEMMachine(self.params, observers=[TraceRecorder()])
         self.disk_model: dict[int, tuple] = {}
         self.held = 0  # atoms we currently hold (model of occupancy)
         self.expected_reads = 0

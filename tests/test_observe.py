@@ -1,10 +1,10 @@
 """The instrumentation bus: MachineCore dispatch and the shipped observers.
 
 Pins the refactor's contract: event ordering matches execution order, the
-TraceRecorder observer is op-for-op identical to the legacy ``record=True``
-flag, WearMap totals equal the cost counters, the flash machine emits
-through the same bus, and a run with no extra observers costs exactly what
-the seed's hard-wired counters reported.
+TraceRecorder observer's ops match the machine's counters, WearMap totals
+equal the cost counters, the flash machine emits through the same bus,
+and a run with no extra observers costs exactly what the seed's
+hard-wired counters reported.
 """
 
 import io
@@ -179,22 +179,6 @@ class TestDispatch:
 
 
 class TestTraceRecorderEquivalence:
-    def test_identical_to_legacy_record_flag_on_mergesort(self):
-        """Acceptance: legacy record=True and TraceRecorder produce the
-        same Op sequence for aem_mergesort on a pinned instance."""
-        import numpy as np
-
-        runs = []
-        for kwargs in ({"record": True}, {"observers": [TraceRecorder()]}):
-            atoms = sort_input(500, "uniform", np.random.default_rng(42))
-            machine = AEMMachine.for_algorithm(P, **kwargs)
-            addrs = machine.load_input(atoms)
-            SORTERS["aem_mergesort"](machine, addrs, P)
-            runs.append(list(machine.trace))
-        legacy, bus = runs
-        assert len(legacy) > 0
-        assert legacy == bus
-
     def test_ops_match_machine_counters(self):
         rec = TraceRecorder()
         machine, addrs = _sort_machine(observers=[rec])
@@ -202,15 +186,9 @@ class TestTraceRecorderEquivalence:
         assert sum(1 for op in rec.ops if op.is_read) == machine.reads
         assert sum(1 for op in rec.ops if not op.is_read) == machine.writes
 
-    def test_record_flag_reuses_supplied_recorder(self):
-        rec = TraceRecorder()
-        machine = AEMMachine(P, record=True, observers=[rec])
-        assert machine.recorder is rec
-        assert sum(isinstance(o, TraceRecorder) for o in machine.observers) == 1
-
     def test_trace_property_without_recorder_is_empty(self):
         machine = AEMMachine(P)
-        assert machine.trace == [] and not machine.record
+        assert machine.trace == [] and machine.recorder is None
 
     def test_round_boundaries_recorded_as_op_indices(self):
         rec = TraceRecorder()

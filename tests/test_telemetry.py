@@ -1,5 +1,5 @@
-"""The telemetry layer: metrics registry, machine/engine observers,
-run manifests, and the benchmark-trajectory gate.
+"""The telemetry layer: metrics registry, machine/engine observers and
+run manifests.
 
 The load-bearing guarantees pinned here:
 
@@ -10,9 +10,7 @@ The load-bearing guarantees pinned here:
 * the observer's totals agree with the machine's own exact counters, so
   the manifest never disagrees with the CostRecord next to it;
 * the engine's duck-typed ``telemetry`` hook records one span per
-  measurement, cache hits as zero-width spans;
-* the bench gate fails on wall-time regressions and on any drift of
-  the deterministic cost counters.
+  measurement, cache hits as zero-width spans.
 """
 
 import json
@@ -25,14 +23,6 @@ from repro.engine import ResultCache, SweepEngine
 from repro.machine.aem import AEMMachine
 from repro.sorting.base import SORTERS
 from repro.telemetry import EngineTelemetry, MetricsObserver, MetricsRegistry
-from repro.telemetry.bench import (
-    BenchCase,
-    compare,
-    load_point,
-    run_suite,
-    trajectory_point,
-    write_point,
-)
 from repro.telemetry.manifest import append_record, read_manifest, run_record
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.observer import NO_PHASE
@@ -393,90 +383,3 @@ class TestManifest:
         rec = read_manifest(tmp_path)[0]
         assert rec["stats"]["executed"] == 1
 
-
-def fake_point(**walls):
-    return {
-        "benchmarks": {
-            name: {"wall_s": wall, "Q": 100.0, "Qr": 60, "Qw": 5, "T": 40, "peak_mem": 16}
-            for name, wall in walls.items()
-        }
-    }
-
-
-class TestBenchGate:
-    def test_within_threshold_passes(self):
-        regressions, warnings = compare(
-            fake_point(a=0.11, b=0.09), fake_point(a=0.10, b=0.10), threshold=2.0
-        )
-        assert regressions == [] and warnings == []
-
-    def test_slowdown_past_threshold_fails(self):
-        regressions, _ = compare(
-            fake_point(a=0.30), fake_point(a=0.10), threshold=2.0
-        )
-        assert len(regressions) == 1 and "3.00x" in regressions[0]
-
-    def test_missing_case_is_a_regression(self):
-        regressions, _ = compare(
-            fake_point(a=0.1), fake_point(a=0.1, gone=0.1), threshold=2.0
-        )
-        assert any("gone" in r for r in regressions)
-
-    @pytest.mark.parametrize("key", ["Q", "Qr", "Qw", "T", "peak_mem"])
-    def test_cost_drift_fails(self, key):
-        current = fake_point(a=0.1)
-        current["benchmarks"]["a"][key] += 1
-        regressions, warnings = compare(current, fake_point(a=0.1), threshold=2.0)
-        assert len(regressions) == 1 and f"a: {key} drifted" in regressions[0]
-        assert warnings == []
-
-    def test_new_case_warns(self):
-        _, warnings = compare(
-            fake_point(a=0.1, new=0.1), fake_point(a=0.1), threshold=2.0
-        )
-        assert any("no baseline yet" in w for w in warnings)
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            compare(fake_point(), fake_point(), threshold=0)
-
-
-class TestBenchSuite:
-    def test_custom_suite_point_round_trips(self, tmp_path):
-        suite = (BenchCase("tiny/a", lambda: {"Q": 3.0, "Qr": 1, "Qw": 1}),)
-        results = run_suite(suite, repeats=1)
-        assert results["tiny/a"]["Q"] == 3.0
-        assert results["tiny/a"]["wall_s"] >= 0
-        point = trajectory_point(results)
-        assert point["schema"] == 1 and "version" in point
-        path = write_point(tmp_path, point)
-        assert path.name.startswith("BENCH_") and path.suffix == ".json"
-        assert load_point(path) == json.loads(json.dumps(point))
-
-    def test_default_suite_names_are_stable(self):
-        from repro.telemetry.bench import default_suite
-
-        names = [c.name for c in default_suite()]
-        assert names == sorted(set(names), key=names.index)  # unique
-        assert any(n.startswith("sort/aem_mergesort") for n in names)
-        assert any(n.startswith("permute/") for n in names)
-        assert any(n.startswith("spmxv/") for n in names)
-
-    def test_committed_baseline_matches_suite(self):
-        """The committed baseline covers exactly the default suite, so
-        the gate never silently skips a case."""
-        from repro.telemetry.bench import BASELINE_PATH, default_suite
-
-        baseline = load_point(BASELINE_PATH)
-        assert set(baseline["benchmarks"]) == {c.name for c in default_suite()}
-        for payload in baseline["benchmarks"].values():
-            assert payload["wall_s"] > 0
-            assert {"Q", "Qr", "Qw"} <= set(payload)
-
-    def test_threshold_env_override(self, monkeypatch):
-        from repro.telemetry.bench import THRESHOLD_ENV, default_threshold
-
-        monkeypatch.setenv(THRESHOLD_ENV, "3.75")
-        assert default_threshold() == 3.75
-        monkeypatch.delenv(THRESHOLD_ENV)
-        assert default_threshold() == 2.5

@@ -57,7 +57,7 @@ class TestCapture:
         from repro.machine.aem import AEMMachine
 
         with pytest.raises(TraceError):
-            Recorder(p, machine=AEMMachine(p, record=False))
+            Recorder(p, machine=AEMMachine(p))
 
 
 class TestReplay:
