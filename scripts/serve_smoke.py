@@ -11,7 +11,9 @@ PR-7 acceptance surface end to end:
 3. the bundled load generator reports latency percentiles and a nonzero
    dedup hit-rate under bursty zipfian traffic;
 4. the drain path leaves the engine stats consistent (requests served ==
-   dedup hits + engine measurements).
+   dedup hits + engine measurements);
+5. malformed traffic (a body cut short, a ``Content-Length: 1_0``) gets
+   a 400, leaves the server healthy, and is counted in ``/metrics``.
 
 Run as ``PYTHONPATH=src python scripts/serve_smoke.py``. Exits non-zero
 on any violation.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import socket
 import sys
 
 from repro import api
@@ -139,9 +142,51 @@ def check_search() -> None:
     print("search counting parity OK: index_build + search_query")
 
 
+#: Requests the server must answer 400, each on its own connection: a
+#: body closed after 7 of its 100 declared bytes, and a Content-Length
+#: that only ``int()`` would accept.
+MALFORMED = (
+    b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sort\"",
+    b"POST /evaluate HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n{}",
+)
+
+
+def _raw_exchange(srv: ServerThread, raw: bytes) -> bytes:
+    """Send ``raw``, close the sending side, and read the answer to EOF."""
+    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def check_malformed() -> None:
+    with ServerThread(ServeConfig(port=0, counting=True)) as srv:
+        for raw in MALFORMED:
+            status_line = _raw_exchange(srv, raw).split(b"\r\n", 1)[0]
+            if status_line.split(b" ")[1:2] != [b"400"]:
+                fail(f"malformed request {raw!r} got {status_line!r}, not a 400")
+        health = srv.get("/healthz")
+        if health.status != 200 or not health.json().get("ok"):
+            fail(f"server unhealthy after malformed traffic: {health.status}")
+        series = srv.get("/metrics").json()["serve_requests_total"]["series"]
+    counted = sum(
+        s["value"]
+        for s in series
+        if s["labels"] == {"endpoint": "-", "status": "400"}
+    )
+    if counted != len(MALFORMED):
+        fail(f'serve_requests_total{{endpoint="-",status="400"}} is {counted}, '
+             f"expected {len(MALFORMED)}")
+    print(f"malformed traffic OK: {len(MALFORMED)} x 400, counted, server healthy")
+
+
 def main() -> int:
     check_parity_and_dedup()
     check_search()
+    check_malformed()
     check_bench()
     print("serve smoke passed")
     return 0

@@ -6,12 +6,14 @@ on. It is a thin model-semantics veneer over a shared
 the machine-event bus — and charges the AEM's costs: ``1`` per read I/O,
 ``omega`` per write I/O.
 
-Everything that *watches* a run is an observer on the bus
-(:mod:`repro.observe`): cost accounting with phase attribution
-(:class:`~repro.observe.CostObserver`, always attached), straight-line
-program recording (:class:`~repro.observe.TraceRecorder`, producing the
-programs the paper's Sections 4 and 5 operate on), wear profiling,
-progress display, and anything a caller brings along via ``observers=``.
+The core charges every read, write and touch to its cost ledger
+(``machine.counter``, attributed by phase path; a
+:class:`~repro.observe.CostObserver` handle on it is always attached).
+Everything else that *watches* a run is an observer on the bus
+(:mod:`repro.observe`): straight-line program recording
+(:class:`~repro.observe.TraceRecorder`, producing the programs the
+paper's Sections 4 and 5 operate on), wear profiling, progress display,
+and anything a caller brings along via ``observers=``.
 
 Model semantics implemented here:
 
@@ -83,10 +85,6 @@ class AEMMachine:
         through), ``write`` stores exactly what it is given, and
         ``read``/``peek`` and :meth:`collect_output` hand the stored tuple
         back, so outputs are verified on both machine modes.
-    flush_every:
-        Event-bus batch flush interval, passed through to
-        :class:`~repro.machine.core.MachineCore` (``None`` keeps the
-        standard interval).
 
     Per-event operations
     --------------------
@@ -123,7 +121,6 @@ class AEMMachine:
         enforce_capacity: bool = True,
         observers: Sequence[MachineObserver] = (),
         counting: bool = False,
-        flush_every: Optional[int] = None,
     ):
         self.params = params
         self.counting = counting
@@ -131,7 +128,7 @@ class AEMMachine:
         core = self.core = MachineCore(
             store,
             InternalMemory(params.M, enforce=enforce_capacity),
-            flush_every=flush_every,
+            omega=params.omega,
         )
         core.write_cost = params.omega
         self.disk = core.disk
@@ -144,7 +141,7 @@ class AEMMachine:
         self.acquire = core.acquire
         self.release = core.release
         self.touch = core.touch
-        self._cost = self.core.attach(CostObserver(omega=params.omega))
+        self._cost = core.attach(CostObserver())
         self._recorder: Optional[TraceRecorder] = None
         for obs in observers:
             self.attach(obs)
@@ -177,14 +174,6 @@ class AEMMachine:
         return observer
 
     def detach(self, observer: MachineObserver) -> None:
-        if observer is self._cost:
-            # Silently allowing this would freeze .cost/.reads/.writes at
-            # their current values while the run continues — every later
-            # readout would be quietly wrong.
-            raise ValueError(
-                "cannot detach the machine's own CostObserver; "
-                ".cost/.reads/.writes would silently stop counting"
-            )
         self.core.detach(observer)
         if observer is self._recorder:
             self._recorder = None
@@ -230,10 +219,12 @@ class AEMMachine:
         return self.core.round_boundary()
 
     def flush(self) -> None:
-        """Flush buffered batch events to observers (see MachineCore).
+        """Flush buffered batch events to ``on_batch`` observers (see
+        MachineCore).
 
         Rarely needed by callers: phase/round boundaries flush
-        automatically and every observer readout flushes on demand.
+        automatically and every batch consumer's readout flushes on
+        demand.
         """
         self.core.flush_events()
 
@@ -290,31 +281,31 @@ class AEMMachine:
     # ------------------------------------------------------------------
     @property
     def counter(self) -> CostCounter:
-        """The always-attached cost observer's counter."""
-        return self._cost.counter
+        """The core's cost ledger."""
+        return self.core.counter
 
     @property
     def cost(self) -> float:
         """Total asymmetric cost so far, ``Q = Qr + omega * Qw``."""
-        return self._cost.Q
+        return self.core.counter.Q
 
     @property
     def reads(self) -> int:
-        return self._cost.reads
+        return self.core.counter.reads
 
     @property
     def writes(self) -> int:
-        return self._cost.writes
+        return self.core.counter.writes
 
     def snapshot(self) -> CostSnapshot:
-        return self._cost.snapshot()
+        return self.core.counter.snapshot()
 
     def wear(self):
         """Per-block write-endurance summary (see BlockStore.wear)."""
         return self.disk.wear()
 
     def describe(self) -> str:
-        return f"{self.params.describe()}: {self._cost.describe()}"
+        return f"{self.params.describe()}: {self.core.counter.describe()}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AEMMachine({self.describe()})"

@@ -22,33 +22,34 @@ Every AEM event is one Python frame: ``read_block``, ``peek_block``,
 ``write_block``, ``acquire``, ``release`` and ``touch`` (bound by
 :class:`~repro.machine.aem.AEMMachine` as its ``read``, ``peek``,
 ``write``, ``acquire``, ``release`` and ``touch``) do their store and
-ledger steps inline and emit inline. :meth:`MachineCore.emit_read` and
-:meth:`MachineCore.emit_write` are the raw entry for machines with
-bespoke transfer shapes (the flash model's sub-block reads), and the
-only other emission code.
+ledger steps inline, charge the cost ledger inline and emit inline.
+:meth:`MachineCore.emit_read` and :meth:`MachineCore.emit_write` are the
+raw entry for machines with bespoke transfer shapes (the flash model's
+sub-block reads), and the only other emission code.
 
-Batchable events (read/write/acquire/release/touch) accumulate into one
-reused :class:`~repro.observe.batch.EventBatch` of columnar parallel
-arrays and are *flushed* to consumers at phase enter/exit, round
-boundaries, attach/detach, every ``flush_every`` events, on explicit
+The cost ledger is the core's own :class:`~repro.machine.cost.CostCounter`
+(:attr:`MachineCore.counter`): every read, write and touch is charged to
+it, attributed to the phase path :meth:`MachineCore.phase` keeps open, in
+the frame that performs the operation, so no observer sits between an
+I/O and ``Q``.
+
+An observer's overridden handlers are called once per event, with the
+real payload. The one exception is an observer that overrides
+``on_batch`` (and does not declare ``needs_payloads``): it receives its
+batchable events (read/write/acquire/release/touch) as columnar
+:class:`~repro.observe.batch.EventBatch` batches, flushed at phase
+enter/exit, round boundaries, attach/detach, every
+:attr:`MachineCore.flush_interval` events, on explicit
 :meth:`flush_events` calls, and when the core is finalized (observers
 hold their core weakly, so a finished machine is freed as soon as its
 last reference goes, and an observer that outlives it still reads every
-event). Observers declaring
-``needs_events``/``needs_payloads`` keep exact synchronous per-event
-delivery (real payloads included); every other observer with a batchable
-handler receives whole batches through ``on_batch`` — its own vectorized
-override, or the inherited default that replays the columns to its
-per-event handlers in order. Phase and round events are never buffered —
-they are the flush boundaries, so per-phase attribution and round-form
-checks see complete, correctly segmented streams.
+event). The core appends to the batch only while such a consumer is
+attached. Phase and round events are never buffered — they are the flush
+boundaries, so per-phase attribution and round-form checks see complete,
+correctly segmented streams.
 
-Columns are recorded only while some consumer reads them (the inherited
-replay, or an ``on_batch`` override with ``batch_columns = True``); the
-batch's aggregates and its ``write_addrs`` side list are kept whenever
-anything consumes batches. Emitting an event that nobody listens to is
-one truthiness check on an empty list, and batching at the semantic
-level still applies —
+Emitting an event that nobody listens to is one truthiness check on an
+empty list, and batching at the semantic level still applies —
 ``touch(k)`` reports ``k`` internal operations in one event, and block
 transfers are one event per I/O, never per atom.
 """
@@ -69,17 +70,13 @@ from ..observe.batch import (
     EventBatch,
 )
 from .blockstore import BlockStore
+from .cost import CostCounter
 from .errors import BlockSizeError
 from .internal import InternalMemory
 from .phantom import PhantomBlock, is_phantom_payload
 
 #: Lifecycle hooks, called at attach/detach rather than dispatched.
 _LIFECYCLE = ("on_attach", "on_detach")
-
-#: Buffered events between forced flushes. Large enough to amortize
-#: dispatch, small enough that replaying consumers never sit on an
-#: unbounded buffer.
-DEFAULT_FLUSH_EVERY = 512
 
 _BATCHED_SET = frozenset(BATCHED_EVENTS)
 
@@ -163,21 +160,24 @@ def _block_read(keep: bool):
         if cost is None:
             cost = self.read_cost
         self.io_count += 1
+        counter = self.counter
+        counter.reads += 1
+        counter.read_cost += cost
+        bucket = counter._bucket
+        bucket[0] += 1
+        bucket[2] += cost
         if self._on_read:
             for cb in self._on_read:
                 cb(addr, items, cost)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_READ)
+            batch.addrs.append(addr)
+            batch.lengths.append(k)
+            batch.costs.append(cost)
+            batch.occs.append(mem.occupancy)
             batch.n += 1
-            batch.reads += 1
-            batch.read_cost += cost
-            if self._record_columns:
-                batch.kinds.append(KIND_READ)
-                batch.addrs.append(addr)
-                batch.lengths.append(k)
-                batch.costs.append(cost)
-                batch.occs.append(mem.occupancy)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
         return items
 
@@ -187,7 +187,17 @@ def _block_read(keep: bool):
 
 
 class MachineCore:
-    """Block storage + capacity ledger + observer event bus."""
+    """Block storage + capacity ledger + cost ledger + observer event bus.
+
+    ``omega`` is the write/read cost ratio its :attr:`counter` prices
+    ``Q = Qr + omega*Qw`` with (``1`` for symmetric models, including the
+    flash model, whose asymmetry lives in the per-event ``cost``).
+    """
+
+    #: Buffered events between forced flushes while an ``on_batch``
+    #: consumer is attached: large enough to amortize dispatch, small
+    #: enough that no consumer sits on an unbounded buffer.
+    flush_interval = 512
 
     def __init__(
         self,
@@ -195,23 +205,20 @@ class MachineCore:
         mem: InternalMemory,
         observers: Sequence[MachineObserver] = (),
         *,
-        flush_every: int | None = None,
+        omega: float = 1.0,
     ):
         # The bus state comes first: __del__ flushes, and must find it even
         # when a later argument check fails.
         self.batch = EventBatch()
         self._flushing = False
         self._on_batch: list = []  # bound on_batch methods, attach order
+        #: The cost ledger: every read, write and touch, by phase path.
+        self.counter = CostCounter(omega)
         self.disk = disk
         self.mem = mem
         # Counting-mode cores sit on a PhantomBlockStore and carry no atom
         # payloads; observers that need contents are rejected at attach.
         self.payloads = not getattr(disk, "phantom", False)
-        self.flush_every = (
-            DEFAULT_FLUSH_EVERY if flush_every is None else int(flush_every)
-        )
-        if self.flush_every < 1:
-            raise ValueError("flush_every must be a positive event count")
         #: Default charges of read_block/write_block; the machine on top
         #: sets its model's (the AEM: 1 and omega).
         self.read_cost: float = 1
@@ -219,8 +226,7 @@ class MachineCore:
         self.io_count = 0  # total I/O events emitted (reads + writes)
         self.last_drained = 0  # slots drained by the most recent round boundary
         self.observers: list[MachineObserver] = []
-        self._buffering = False  # someone consumes batches
-        self._record_columns = False  # some consumer needs the columns
+        self._buffering = False  # some on_batch consumer is attached
         for name in EVENTS:
             setattr(self, "_" + name, [])
         for obs in observers:
@@ -271,62 +277,37 @@ class MachineCore:
 
     def __del__(self) -> None:
         # Observers hold their core weakly, so a finished machine is freed
-        # by reference counting while its observers may live on; hand them
-        # what is still buffered so their readouts stay exact.
+        # by reference counting while its observers may live on; hand the
+        # batch consumers what is still buffered so their readouts stay
+        # exact.
         self.flush_events()
 
     def _rebuild_dispatch(self) -> None:
         """Recompute every dispatch list from ``self.observers``.
 
-        Observers sort into two tiers:
-
-        * *synchronous* — ``needs_events``/``needs_payloads`` observers,
-          whose overridden handlers go into the per-event lists (they see
-          real payloads, in real time);
-        * *batch consumers* — every other observer overriding
-          ``on_batch`` or a batchable handler. One that relies on the
-          inherited ``on_batch`` gets the buffered events replayed to its
-          per-event handlers at each flush, in order, with placeholder
-          payloads.
-
-        Phase/round handlers are always dispatched synchronously (those
-        events are flush points, fired after the flush). The columnar
-        arrays are only recorded when some attached consumer needs them:
-        one relying on the inherited replay, or an ``on_batch`` override
-        with ``batch_columns = True``. Consumers of the aggregates and
-        the ``write_addrs`` side list (the cost ledger, metrics, wear,
-        progress) leave the columns off, which is the machine's per-I/O
-        fast path.
+        An observer that overrides ``on_batch`` and does not declare
+        ``needs_payloads`` (batches carry lengths, not atoms) receives
+        its batchable events in batches; every other overridden handler
+        of every observer goes into its event's per-event list. Phase and
+        round handlers are always per-event (those events are flush
+        points, fired after the flush).
         """
         base = MachineObserver
         for name in EVENTS:
             getattr(self, "_" + name).clear()
         self._on_batch.clear()
-        needs_columns = False
         for obs in self.observers:
             cls = type(obs)
-            synchronous = getattr(obs, "needs_events", False) or getattr(
-                obs, "needs_payloads", False
-            )
-            batchable = False
+            overrides = getattr(cls, "on_batch", base.on_batch) is not base.on_batch
+            batched = overrides and not getattr(obs, "needs_payloads", False)
+            if batched:
+                self._on_batch.append(obs.on_batch)
             for name in EVENTS:
                 handler = getattr(cls, name, None)
                 if handler is None or handler is getattr(base, name):
                     continue
-                if synchronous or name not in _BATCHED_SET:
+                if not (batched and name in _BATCHED_SET):
                     getattr(self, "_" + name).append(getattr(obs, name))
-                else:
-                    batchable = True
-            if synchronous:
-                continue
-            if getattr(cls, "on_batch", base.on_batch) is not base.on_batch:
-                self._on_batch.append(obs.on_batch)
-                if getattr(obs, "batch_columns", True):
-                    needs_columns = True
-            elif batchable:
-                self._on_batch.append(obs.on_batch)
-                needs_columns = True
-        self._record_columns = needs_columns
         self._buffering = bool(self._on_batch)
 
     def find(self, kind: type) -> list:
@@ -337,11 +318,11 @@ class MachineCore:
     # Batch flushing.
     # ------------------------------------------------------------------
     def flush_events(self) -> None:
-        """Deliver all buffered events to the batch consumers.
+        """Deliver all buffered events to the ``on_batch`` consumers.
 
         Safe to call at any time (no-op when the buffer is empty or when
-        already mid-flush); readout paths on observers call this so that
-        totals read back exact regardless of buffer state.
+        already mid-flush); readout paths on batch consumers call this so
+        that what they report is exact regardless of buffer state.
         """
         batch = self.batch
         if not batch.n or self._flushing:
@@ -360,50 +341,55 @@ class MachineCore:
     # ------------------------------------------------------------------
     def emit_read(self, addr: int, items: Sequence, cost: float) -> None:
         self.io_count += 1
+        counter = self.counter
+        counter.reads += 1
+        counter.read_cost += cost
+        bucket = counter._bucket
+        bucket[0] += 1
+        bucket[2] += cost
         if self._on_read:
             for cb in self._on_read:
                 cb(addr, items, cost)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_READ)
+            batch.addrs.append(addr)
+            batch.lengths.append(len(items))
+            batch.costs.append(cost)
+            batch.occs.append(self.mem.occupancy)
             batch.n += 1
-            batch.reads += 1
-            batch.read_cost += cost
-            if self._record_columns:
-                batch.kinds.append(KIND_READ)
-                batch.addrs.append(addr)
-                batch.lengths.append(len(items))
-                batch.costs.append(cost)
-                batch.occs.append(self.mem.occupancy)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     def emit_write(self, addr: int, items: Sequence, cost: float) -> None:
         self.io_count += 1
+        counter = self.counter
+        counter.writes += 1
+        counter.write_cost += cost
+        bucket = counter._bucket
+        bucket[1] += 1
+        bucket[3] += cost
         if self._on_write:
             for cb in self._on_write:
                 cb(addr, items, cost)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_WRITE)
+            batch.addrs.append(addr)
+            batch.lengths.append(len(items))
+            batch.costs.append(cost)
+            batch.occs.append(self.mem.occupancy)
             batch.n += 1
-            batch.writes += 1
-            batch.write_cost += cost
-            batch.write_addrs.append(addr)
-            if self._record_columns:
-                batch.kinds.append(KIND_WRITE)
-                batch.addrs.append(addr)
-                batch.lengths.append(len(items))
-                batch.costs.append(cost)
-                batch.occs.append(self.mem.occupancy)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     # ------------------------------------------------------------------
     # The AEM's per-event operations, one frame each. AEMMachine binds
     # them as read/peek/write/acquire/release/touch. Each does its store
-    # and ledger step inline and emits inline (as emit_read/emit_write
-    # do); the store and the ledger are called only to raise their exact
-    # errors, so a failing operation leaves the state a call through
-    # them would.
+    # and ledger step inline, charges the cost ledger and emits inline
+    # (as emit_read/emit_write do); the store and the ledger are called
+    # only to raise their exact errors, so a failing operation leaves the
+    # state a call through them would.
     # ------------------------------------------------------------------
     # Built from one source by _block_read (above the class): a peek is a
     # read whose atoms only have to fit, and neither carries that flag
@@ -455,22 +441,24 @@ class MachineCore:
         if cost is None:
             cost = self.write_cost
         self.io_count += 1
+        counter = self.counter
+        counter.writes += 1
+        counter.write_cost += cost
+        bucket = counter._bucket
+        bucket[1] += 1
+        bucket[3] += cost
         if self._on_write:
             for cb in self._on_write:
                 cb(addr, items, cost)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_WRITE)
+            batch.addrs.append(addr)
+            batch.lengths.append(n)
+            batch.costs.append(cost)
+            batch.occs.append(mem.occupancy)
             batch.n += 1
-            batch.writes += 1
-            batch.write_cost += cost
-            batch.write_addrs.append(addr)
-            if self._record_columns:
-                batch.kinds.append(KIND_WRITE)
-                batch.addrs.append(addr)
-                batch.lengths.append(n)
-                batch.costs.append(cost)
-                batch.occs.append(mem.occupancy)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     def acquire(self, k: Union[int, Sized], what: str = "atoms") -> None:
@@ -489,15 +477,14 @@ class MachineCore:
             cb(k, what)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_ACQUIRE)
+            batch.addrs.append(-1)
+            batch.lengths.append(k)
+            batch.costs.append(0)
+            batch.occs.append(occ)
+            batch.whats.append(what)
             batch.n += 1
-            if self._record_columns:
-                batch.kinds.append(KIND_ACQUIRE)
-                batch.addrs.append(-1)
-                batch.lengths.append(k)
-                batch.costs.append(0)
-                batch.occs.append(occ)
-                batch.whats.append(what)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     def release(self, k: Union[int, Sized]) -> None:
@@ -514,14 +501,13 @@ class MachineCore:
             cb(k)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_RELEASE)
+            batch.addrs.append(-1)
+            batch.lengths.append(k)
+            batch.costs.append(0)
+            batch.occs.append(occ)
             batch.n += 1
-            if self._record_columns:
-                batch.kinds.append(KIND_RELEASE)
-                batch.addrs.append(-1)
-                batch.lengths.append(k)
-                batch.costs.append(0)
-                batch.occs.append(occ)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     # ------------------------------------------------------------------
@@ -531,20 +517,20 @@ class MachineCore:
         """Record ``k`` internal operations (the model's time ``T``)."""
         if k < 0:
             raise ValueError("cannot record a negative number of touches")
+        counter = self.counter
+        counter.touches += k
+        counter._bucket[4] += k
         for cb in self._on_touch:
             cb(k)
         if self._buffering:
             batch = self.batch
+            batch.kinds.append(KIND_TOUCH)
+            batch.addrs.append(-1)
+            batch.lengths.append(k)
+            batch.costs.append(0)
+            batch.occs.append(self.mem.occupancy)
             batch.n += 1
-            batch.touches += k
-            batch.touch_events += 1
-            if self._record_columns:
-                batch.kinds.append(KIND_TOUCH)
-                batch.addrs.append(-1)
-                batch.lengths.append(k)
-                batch.costs.append(0)
-                batch.occs.append(self.mem.occupancy)
-            if batch.n >= self.flush_every:
+            if batch.n >= self.flush_interval:
                 self.flush_events()
 
     @contextmanager
@@ -553,14 +539,18 @@ class MachineCore:
         # belongs to the enclosing phase and is delivered before the
         # enter/exit callbacks fire, so per-phase attribution in batch
         # consumers (which charge a whole batch to the innermost phase)
-        # matches synchronous dispatch bit-for-bit.
+        # matches per-event dispatch bit-for-bit. The ledger moves first:
+        # callbacks see the path already entered (or exited), and a
+        # mismatched exit raises PhaseError before any of them runs.
         self.flush_events()
+        self.counter.enter_phase(name)
         for cb in self._on_phase_enter:
             cb(name)
         try:
             yield
         finally:
             self.flush_events()
+            self.counter.exit_phase(name)
             for cb in self._on_phase_exit:
                 cb(name)
 
@@ -572,8 +562,7 @@ class MachineCore:
         the declared boundaries flow into recorded programs'
         ``round_boundaries``. Like phase boundaries, this is an exact
         flush point: buffered events land before ``on_round_boundary``
-        fires, so per-round accounting (the round-form sanitizer) sees
-        the complete round.
+        fires, so per-round accounting sees the complete round.
         """
         held = self.mem.drain()
         # Recorded before the callbacks run: observers fired by this

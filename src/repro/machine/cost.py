@@ -207,7 +207,10 @@ class CostCounter:
     per-event charges ``read_cost``/``write_cost``), the counter keeps one
     bucket per phase path, created when the path is first entered
     (``()`` holds what happens outside any phase). The open path's bucket
-    is cached, so a charge updates it without a lookup.
+    is cached, so a charge updates it without a lookup. A
+    :class:`~repro.machine.core.MachineCore` owns one and charges it in
+    the frame of each read, write and touch, updating the same fields
+    :meth:`add_read`, :meth:`add_write` and :meth:`touch` do.
     """
 
     def __init__(self, omega: float = 1.0):
@@ -219,8 +222,8 @@ class CostCounter:
         self.touches = 0
         #: Summed per-event charges: ``Qr`` and ``omega*Qw`` on an AEM,
         #: the read/write I/O volumes on a flash machine.
-        self.read_cost: float = 0
-        self.write_cost: float = 0
+        self.read_cost = 0.0
+        self.write_cost = 0.0
         #: The open phase path, outermost name first.
         self.path: Tuple[str, ...] = ()
         # path -> [reads, writes, read_cost, write_cost, touches]
@@ -361,8 +364,8 @@ class CostCounter:
         self.reads = 0
         self.writes = 0
         self.touches = 0
-        self.read_cost = 0
-        self.write_cost = 0
+        self.read_cost = 0.0
+        self.write_cost = 0.0
         self._paths.clear()
         for depth in range(len(self.path) + 1):
             self._bucket = self._open(self.path[:depth])

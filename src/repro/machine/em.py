@@ -23,11 +23,9 @@ def em_params(M: int, B: int) -> AEMParams:
 def em_machine(M: int, B: int, **kwargs) -> AEMMachine:
     """A symmetric EM machine: an AEM machine with ``omega = 1``.
 
-    Keyword arguments (``enforce_capacity``, ``observers``, ``counting``,
-    ``flush_every``) pass through to
-    :class:`~repro.machine.aem.AEMMachine` — in particular the counting
-    fast path and the batched event bus are available here too, and the
-    machine's own :class:`~repro.observe.CostObserver` is detach-guarded
-    exactly as on the AEM.
+    Keyword arguments (``enforce_capacity``, ``observers``,
+    ``counting``) pass through to :class:`~repro.machine.aem.AEMMachine`
+    — in particular the counting fast path is available here too, and
+    the core's cost ledger prices writes at ``omega = 1``.
     """
     return AEMMachine(em_params(M, B), **kwargs)

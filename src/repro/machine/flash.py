@@ -28,12 +28,13 @@ events of :mod:`repro.observe` — with *volume-based* costs (``Br`` per
 small read, ``Bw`` per write) — so the Lemma 4.3 reduction and experiments
 E8/E9 consume the same event stream for both models, and any observer
 (trace recorder, wear map, progress readout) works here unchanged. Its
-volume accounting is a :class:`~repro.observe.CostObserver` on that bus.
+volume accounting is the core's cost ledger (``core.counter``), which sums
+those per-event costs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..observe.base import MachineObserver
 from ..observe.cost import CostObserver
@@ -80,7 +81,6 @@ class FlashMachine:
         *,
         observers: Sequence[MachineObserver] = (),
         counting: bool = False,
-        flush_every: Optional[int] = None,
     ):
         if Br < 1 or Bw < 1:
             raise ValueError("block sizes must be positive")
@@ -99,10 +99,10 @@ class FlashMachine:
             # The model does not enforce a capacity discipline of its own;
             # the ledger exists so shared observers see a complete core.
             InternalMemory(M, enforce=False),
-            flush_every=flush_every,
+            omega=1,
         )
         self.disk = self.core.disk
-        self._cost = self.core.attach(CostObserver(omega=1.0))
+        self._cost = self.core.attach(CostObserver())
         for obs in observers:
             self.core.attach(obs)
 
@@ -133,17 +133,11 @@ class FlashMachine:
         return self.core.attach(observer)
 
     def detach(self, observer: MachineObserver) -> None:
-        if observer is self._cost:
-            # Same guard as AEMMachine.detach: the volume/ops readouts
-            # live in this observer and would silently freeze.
-            raise ValueError(
-                "cannot detach the machine's own CostObserver; "
-                ".volume/.read_ops/.write_ops would silently stop counting"
-            )
         self.core.detach(observer)
 
     def flush(self) -> None:
-        """Flush buffered batch events to observers (see MachineCore)."""
+        """Flush buffered batch events to ``on_batch`` observers (see
+        MachineCore)."""
         self.core.flush_events()
 
     @property
@@ -162,39 +156,39 @@ class FlashMachine:
         """Total I/O volume (elements transferred), the model's cost."""
         return self.read_volume + self.write_volume
 
-    # The accounting lives in the attached CostObserver; these properties
+    # The accounting lives in the core's cost ledger; these properties
     # keep the historical readout (and the tests' ability to zero it).
     @property
     def read_volume(self) -> int:
-        return self._cost.read_cost
+        return self.core.counter.read_cost
 
     @read_volume.setter
     def read_volume(self, value: int) -> None:
-        self._cost.read_cost = value
+        self.core.counter.read_cost = value
 
     @property
     def write_volume(self) -> int:
-        return self._cost.write_cost
+        return self.core.counter.write_cost
 
     @write_volume.setter
     def write_volume(self, value: int) -> None:
-        self._cost.write_cost = value
+        self.core.counter.write_cost = value
 
     @property
     def read_ops(self) -> int:
-        return self._cost.reads
+        return self.core.counter.reads
 
     @read_ops.setter
     def read_ops(self, value: int) -> None:
-        self._cost.counter.reads = value
+        self.core.counter.reads = value
 
     @property
     def write_ops(self) -> int:
-        return self._cost.writes
+        return self.core.counter.writes
 
     @write_ops.setter
     def write_ops(self, value: int) -> None:
-        self._cost.counter.writes = value
+        self.core.counter.writes = value
 
     # ------------------------------------------------------------------
     # I/O operations.

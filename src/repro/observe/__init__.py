@@ -8,13 +8,13 @@ round boundary. Anything that wants per-I/O observability implements the
 :class:`MachineObserver` protocol and attaches to a machine; the machine
 itself stays a thin model-semantics veneer.
 
-The observers shipped here re-implement what used to be hard-wired into
-the machines:
+The cost ledger is the core's own: it charges every read, write and
+touch to its :class:`~repro.machine.cost.CostCounter` (``core.counter``).
+The observers shipped here:
 
-* :class:`CostObserver` — the ``Q = Qr + omega*Qw`` accounting,
-  attributed by phase path (drives a
-  :class:`~repro.machine.cost.CostCounter`); for the flash model the same
-  observer accumulates I/O *volume*.
+* :class:`CostObserver` — a handle on that ledger (``Q = Qr + omega*Qw``,
+  attributed by phase path; for the flash model, I/O *volume*), attached
+  to every machine.
 * :class:`TraceRecorder` — straight-line program recording, emitting the
   exact :class:`~repro.trace.ops.ReadOp` / :class:`~repro.trace.ops.WriteOp`
   sequences the Section 4–5 lower-bound machinery consumes.
@@ -26,12 +26,12 @@ the machines:
 
 Dispatch is cheap by construction: a machine core keeps one callback list
 per event kind, populated only with observers that *override* that event,
-so un-observed events cost a single truthiness check. On top of that,
-batchable events accumulate into a reused columnar :class:`EventBatch`
-and are flushed to consumers at phase and round boundaries (exact flush
-points), attach/detach, and every ``flush_every`` events — see
-:mod:`repro.observe.batch` for the two consumer tiers (``on_batch`` and
-``needs_events``).
+so un-observed events cost a single truthiness check, and each overridden
+handler is called once per event. An observer that overrides ``on_batch``
+receives its read/write/acquire/release/touch events as a reused
+columnar :class:`EventBatch` instead, flushed at phase and round
+boundaries (exact flush points), attach/detach, and every
+``MachineCore.flush_interval`` events — see :mod:`repro.observe.batch`.
 """
 
 from .base import EVENTS, MachineObserver

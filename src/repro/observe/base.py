@@ -45,40 +45,22 @@ that use only ``len(items)``, addresses, and costs — the default — keep
 the class-level ``needs_payloads = False`` and work on both kinds of
 machine unchanged.
 
-Batched dispatch: the batchable events (read/write/acquire/release/touch)
-are buffered into a columnar :class:`~repro.observe.batch.EventBatch`
-and delivered at flush boundaries. Three class-level knobs control how
-an observer participates:
-
-``on_batch(batch)``
-    Called once per flush. The inherited default replays the batch to
-    the per-event handlers, in original order, with sized placeholder
-    payloads — correct for every ``len(items)``-only consumer. Override
-    it to consume whole batches in one call, the vectorized fast path.
-    The batch object and its column lists are reused by the bus; copy
-    anything you keep (analysis rule AEM203). An override replaces the
-    per-event batchable handlers (keep those as the reference the
-    override is checked against); phase/round handlers still fire
-    synchronously.
-``needs_events``
-    Declare True to opt out of batching entirely: the observer's
-    overridden handlers stay on the synchronous per-event path with real
-    payloads. Implied by ``needs_payloads``. Setting it on an instance
-    turns a batch consumer into its own per-event reference.
-``batch_columns``
-    Set False on ``on_batch`` overrides that use only the batch
-    aggregates (``reads``/``writes``/``read_cost``/...). When every
-    attached consumer says False the bus skips recording the per-event
-    columns altogether — the machine's cheapest configuration. Observers
-    relying on the inherited replay always need the columns.
+Delivery: each overridden handler is called once per event, as it
+happens, with the real payload. An observer that overrides
+``on_batch(batch)`` (and does not declare ``needs_payloads``) opts into
+columnar delivery instead: its read/write/acquire/release/touch events
+reach it as :class:`~repro.observe.batch.EventBatch` columns, one call
+per flush, while its phase and round handlers still fire per event,
+after the flush. The batch object and its column lists are reused by
+the bus; copy anything you keep (analysis rule AEM203). The per-event
+handlers of such an observer are not dispatched, but stay useful as the
+reference its ``on_batch`` is tested against.
 """
 
 from __future__ import annotations
 
 import weakref
 from typing import Optional, Sequence
-
-from .batch import KIND_ACQUIRE, KIND_READ, KIND_TOUCH, KIND_WRITE
 
 EVENTS = (
     "on_read",
@@ -105,50 +87,18 @@ class MachineObserver:
     """
 
     #: Set True in subclasses whose handlers read atom contents (not just
-    #: ``len(items)``); such observers cannot attach to counting machines.
+    #: ``len(items)``); such observers cannot attach to counting machines,
+    #: and are always dispatched per event.
     needs_payloads = False
-
-    #: Set True to keep exact synchronous per-event delivery instead of
-    #: batches (implied by ``needs_payloads``).
-    needs_events = False
-
-    #: Set False on ``on_batch`` implementations that only use the batch
-    #: aggregates, never the per-event columns.
-    batch_columns = True
 
     def on_batch(self, batch) -> None:
         """Consume one flushed :class:`~repro.observe.batch.EventBatch`.
 
-        The default replays the buffered events to the per-event
-        handlers, in original order. I/O payloads are sized
-        :class:`~repro.machine.phantom.PhantomBlock` placeholders;
-        observers that read real atom contents declare
-        ``needs_payloads`` and are dispatched synchronously instead.
-        Overrides are vectorized consumers: the batch (and its column
-        lists) are reused after this call returns — copy, don't retain.
+        A no-op hook: overriding it moves the observer's batchable events
+        from per-event calls to one call per flush (see the module doc).
+        The batch (and its column lists) are reused after this call
+        returns — copy, don't retain.
         """
-        from ..machine.phantom import PhantomBlock
-
-        on_read = self.on_read
-        on_write = self.on_write
-        on_acquire = self.on_acquire
-        on_release = self.on_release
-        on_touch = self.on_touch
-        wi = 0
-        for kind, addr, length, cost in zip(
-            batch.kinds, batch.addrs, batch.lengths, batch.costs
-        ):
-            if kind == KIND_READ:
-                on_read(addr, PhantomBlock(length), cost)
-            elif kind == KIND_WRITE:
-                on_write(addr, PhantomBlock(length), cost)
-            elif kind == KIND_TOUCH:
-                on_touch(length)
-            elif kind == KIND_ACQUIRE:
-                on_acquire(length, batch.whats[wi])
-                wi += 1
-            else:
-                on_release(length)
 
     #: Weak reference to the attached core (``None`` while detached).
     _core_ref: Optional[weakref.ReferenceType] = None
@@ -160,7 +110,8 @@ class MachineObserver:
         self._core_ref = None
 
     def flush_core(self) -> None:
-        """Deliver the attached core's buffered events (readouts call this).
+        """Deliver the attached core's buffered events (readouts of
+        ``on_batch`` consumers call this).
 
         A batch consumer's totals trail the run by whatever the core still
         buffers; flushing first makes every readout exact. A core that is

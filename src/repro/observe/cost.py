@@ -1,95 +1,47 @@
-"""Cost accounting as an observer.
+"""The machine's cost ledger, as an observer handle.
 
-:class:`CostObserver` is the event-bus re-implementation of the accounting
-that used to be hard-wired into :class:`~repro.machine.aem.AEMMachine` and
-:class:`~repro.machine.flash.FlashMachine`. It drives a
-:class:`~repro.machine.cost.CostCounter`, so everything downstream —
-snapshots, ``Q = Qr + omega*Qw``, the phase-path table — keeps its exact
-semantics. The counter also sums the *model cost* each event carries: on
-an AEM machine that sum is redundant with the counts, on a flash machine
-it is the I/O volume (``Br`` per small read, ``Bw`` per write), which is
-that model's notion of cost.
+Every :class:`~repro.machine.core.MachineCore` owns a
+:class:`~repro.machine.cost.CostCounter` (``core.counter``) and charges
+it inline at every read, write and touch, attributed to the phase path
+open when it happened — ``Q = Qr + omega*Qw``, the phase-path table, and
+the summed *model cost* of the events: on an AEM machine that sum is
+redundant with the counts, on a flash machine it is the I/O volume
+(``Br`` per small read, ``Bw`` per write), which is that model's notion
+of cost.
 
-Every machine attaches one of these at construction; ``machine.counter``,
-``machine.snapshot()`` and friends read through to it, and so do the
-observers that report costs by phase (:mod:`repro.observe.ledger`).
-
-Under batched dispatch this observer is an aggregates-only batch consumer
-(``batch_columns = False``): one ``on_batch`` call per flush adds the
-batch's totals to the counter, attributed to the open phase path — exact,
-because phase boundaries force a flush. Every readout path (the
-properties and ``snapshot()``/``describe()``) first flushes the owning
-core (held weakly, see
-:meth:`~repro.observe.base.MachineObserver.flush_core`), so totals read
-back exact at any moment.
+:class:`CostObserver` handles no events: it binds to the counter of the
+core it is attached to and passes its readout surface through. Every
+machine attaches one at construction (``core.find(CostObserver)`` finds
+the ledger of any machine); ``machine.counter``, ``machine.snapshot()``
+and friends read the core's counter directly.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional
 
 from ..machine.cost import CostCounter, CostSnapshot
 from .base import MachineObserver
 
 
 class CostObserver(MachineObserver):
-    """Count reads/writes/touches and attribute them to phases.
+    """The attached core's reads/writes/touches, attributed to phases."""
 
-    Parameters
-    ----------
-    omega:
-        The write/read cost ratio of the machine being observed (``1`` for
-        symmetric models, including the flash model, whose asymmetry lives
-        in the per-event ``cost`` instead).
-    """
+    def __init__(self) -> None:
+        self._counter: Optional[CostCounter] = None
 
-    batch_columns = False
-
-    def __init__(self, omega: float = 1.0):
-        self._counter = CostCounter(omega)
-
-    # ------------------------------------------------------------------
-    # Per-event handlers (``needs_events`` delivery; the reference the
-    # batch path is tested against).
-    # ------------------------------------------------------------------
-    def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        self._counter.add_read(1, cost)
-
-    def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        self._counter.add_write(1, cost)
-
-    def on_touch(self, k: int) -> None:
-        self._counter.touch(k)
-
-    def on_phase_enter(self, name: str) -> None:
-        self._counter.enter_phase(name)
-
-    def on_phase_exit(self, name: str) -> None:
-        self._counter.exit_phase(name)
-
-    def on_batch(self, batch) -> None:
-        # Charging the whole batch to the open path is exact: phase
-        # transitions flush, so a batch never straddles a boundary. The
-        # underscore field is used directly — the ``counter`` property
-        # would re-enter the flush this call is part of.
-        counter = self._counter
-        counter.add_read(batch.reads, batch.read_cost)
-        counter.add_write(batch.writes, batch.write_cost)
-        counter.touch(batch.touches)
+    def on_attach(self, core) -> None:
+        super().on_attach(core)
+        self._counter = core.counter
 
     # ------------------------------------------------------------------
     # Readout (the CostCounter surface, passed through).
     # ------------------------------------------------------------------
     @property
     def counter(self) -> CostCounter:
-        self.flush_core()
+        if self._counter is None:
+            raise RuntimeError("CostObserver reads a machine's ledger; attach it first")
         return self._counter
-
-    @property
-    def path(self) -> tuple:
-        """The open phase path (phase events are never buffered, so this
-        reads without a flush)."""
-        return self._counter.path
 
     @property
     def read_cost(self) -> float:

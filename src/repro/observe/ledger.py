@@ -1,12 +1,12 @@
 """Readouts of the machine's phase-path cost ledger.
 
-Every machine keeps one ledger: its always-attached
-:class:`~repro.observe.CostObserver` drives a
-:class:`~repro.machine.cost.CostCounter` that attributes each read,
-write and touch to the phase path open when it happened. The observers
-that report costs by phase — the profiler, the metrics observer, the
-progress line — read that table through :class:`LedgerReadout` instead
-of keeping phase stacks of their own.
+Every machine keeps one ledger: its core's
+:class:`~repro.machine.cost.CostCounter` (``core.counter``), charged at
+every read, write and touch and attributing each to the phase path open
+when it happened. The observers that report costs by phase — the
+profiler, the metrics observer, the progress line — read that table
+through :class:`LedgerReadout` instead of keeping phase stacks of their
+own.
 
 A readout may watch several machines, and may attach mid-run. For each
 machine it records the ledger, and the table and totals as they stood at
@@ -14,18 +14,18 @@ attach; it reports what was added since (its *window*). When it is
 detached, or its machine is gone, the window is folded into plain totals
 and the ledger dropped, so a readout shared by many short-lived machines
 keeps no finished machine's ledger. A gone machine is folded at the next
-attach or readout, not from a finalizer: the cyclic garbage collector
-clears weak references before it runs ``MachineCore.__del__``, whose
-flush delivers the machine's last buffered events to its ledger.
+attach or readout, not from a weak-reference callback or a finalizer,
+which the garbage collector may run in the middle of unrelated code;
+until then its window keeps only the machine's counter alive, never the
+machine.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from ..machine.cost import CostRecord, Paths
+from ..machine.cost import CostCounter, CostRecord, Paths
 from .base import MachineObserver
-from .cost import CostObserver
 
 _NOTHING = CostRecord(Q=0, Qr=0, Qw=0, T=0, peak_mem=0)
 
@@ -50,19 +50,19 @@ class _Window:
 
     __slots__ = ("core", "ledger", "mem", "base", "base_totals")
 
-    def __init__(self, core, ledger: CostObserver):
+    def __init__(self, core):
         self.core = weakref.ref(core)
-        self.ledger = ledger
+        self.ledger: CostCounter = core.counter
         self.mem = core.mem
-        self.base = ledger.counter.paths()
-        self.base_totals = ledger.snapshot()
+        self.base = self.ledger.paths()
+        self.base_totals = self.ledger.snapshot()
 
     def paths(self) -> Paths:
-        """The table since attach (reading the ledger flushes its core)."""
+        """The table since attach."""
         base = self.base
         return {
             path: stats - base[path] if path in base else stats
-            for path, stats in self.ledger.counter.paths().items()
+            for path, stats in self.ledger.paths().items()
         }
 
     def totals(self) -> CostRecord:
@@ -83,9 +83,7 @@ class LedgerReadout(MachineObserver):
     def on_attach(self, core) -> None:
         super().on_attach(core)
         self._live()
-        ledgers = core.find(CostObserver)
-        if ledgers:
-            self._windows.append(_Window(core, ledgers[0]))
+        self._windows.append(_Window(core))
 
     def on_detach(self, core) -> None:
         super().on_detach(core)

@@ -11,12 +11,13 @@ The carriage-return frames only render *live* when the stream is a TTY
 ``close()`` instead of thousands of ``\\r`` frames. Counting continues
 either way, so the final line is always accurate.
 
-Rendering is rate-limited by event count (``every``), not wall clock, to
-keep the observer deterministic and cheap: between renders an event costs
-two integer increments and a comparison. The phase shown is the open
-phase path of the watched machine's cost ledger, read through
-:class:`~repro.observe.ledger.LedgerReadout`; the closing line lists the
-paths its window visited.
+Rendering is rate-limited by I/O count (``every``), not wall clock, to
+keep the observer deterministic and cheap: between renders an I/O costs
+one handler call, an integer increment and a comparison. What a line
+shows comes from the watched machine's cost ledger, read through
+:class:`~repro.observe.ledger.LedgerReadout`: ``Qr``/``Qw`` since attach,
+the open phase path, and on the closing line the paths its window
+visited.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ class ProgressObserver(LedgerReadout):
         the final summary line and flushes, live or not.
     """
 
-    batch_columns = False
-
     def __init__(
         self,
         stream: Optional[IO[str]] = None,
@@ -76,55 +75,49 @@ class ProgressObserver(LedgerReadout):
         self.every = every
         self.label = label
         self.live = _stream_is_live(self.stream) if live is None else bool(live)
-        self.reads = 0
-        self.writes = 0
         self.rounds = 0
         self._pending = 0
 
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
+    # The ledger counts the I/Os; this handler only keeps the cadence.
     def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        self.reads += 1
-        self._tick()
-
-    def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        self.writes += 1
-        self._tick()
-
-    def on_batch(self, batch) -> None:
-        io = batch.reads + batch.writes
-        if not io:
-            return
-        self.reads += batch.reads
-        self.writes += batch.writes
-        self._pending += io
+        self._pending += 1
         if self._pending >= self.every:
             self._render()
 
+    on_write = on_read
+
     def on_phase_enter(self, name: str) -> None:
-        # The ledger, attached first, has already entered the phase.
+        # The core's ledger has already entered the phase.
         self._render()
 
     def on_round_boundary(self, index: int) -> None:
         self.rounds += 1
 
     # ------------------------------------------------------------------
-    # Rendering.
+    # Readout and rendering.
     # ------------------------------------------------------------------
+    @property
+    def reads(self) -> int:
+        """Read I/Os since attach (``Qr`` of the ledger window)."""
+        return self._totals().Qr
+
+    @property
+    def writes(self) -> int:
+        """Write I/Os since attach (``Qw`` of the ledger window)."""
+        return self._totals().Qw
+
     def _line(self) -> str:
         live = self._windows[-1].ledger.path if self._windows else ()
         phase = "/".join(live) or "-"
         prefix = f"[{self.label}] " if self.label else ""
-        line = f"{prefix}Qr={self.reads} Qw={self.writes} phase={phase}"
+        totals = self._totals()
+        line = f"{prefix}Qr={totals.Qr} Qw={totals.Qw} phase={phase}"
         if self.rounds:
             line += f" rounds={self.rounds}"
         return line
-
-    def _tick(self) -> None:
-        self._pending += 1
-        if self._pending >= self.every:
-            self._render()
 
     def _render(self) -> None:
         self._pending = 0
@@ -138,13 +131,11 @@ class ProgressObserver(LedgerReadout):
 
         On a live stream this replaces the in-place status line and moves
         off it; on a piped stream it is the *only* output the observer
-        ever produces. Buffered batch events are flushed first, so the
-        printed counts are exact rather than trailing the run. By the
-        time a run closes every phase has exited, so the summary reports
-        the *visited* nested paths (``phases=sort/merge,...``) instead of
-        the long-empty current stack.
+        ever produces. By the time a run closes every phase has exited,
+        so the summary reports the *visited* nested paths
+        (``phases=sort/merge,...``) instead of the long-empty current
+        stack.
         """
-        self.flush_core()
         line = self._line()
         visited = ["/".join(path) for path in self._paths() if path]
         if len(visited) > 8:

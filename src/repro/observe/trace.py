@@ -38,10 +38,8 @@ class TraceRecorder(MachineObserver):
     """
 
     # Recorded ops capture atom uids and write payloads; a counting
-    # machine has neither, so attachment must fail loudly there, and
-    # batched dispatch must keep delivering real per-event payloads.
+    # machine has neither, so attachment must fail loudly there.
     needs_payloads = True
-    needs_events = True
 
     def __init__(self):
         self.ops: list[Op] = []

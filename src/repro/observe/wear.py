@@ -11,14 +11,8 @@ flash machine and compare profiles on equal terms.
 Unlike :meth:`repro.machine.blockstore.BlockStore.wear` (which summarizes
 the store's whole lifetime), a ``WearMap`` sees only the events emitted
 while it was attached, so it can scope wear to one algorithm, one phase,
-or one round of a longer run.
-
-Under batched dispatch the map is a vectorized batch consumer: one
-``on_batch`` call walks the batch's ``write_addrs`` side list and bumps
-write counts in a tight loop, so it needs none of the per-event columns
-(``batch_columns = False``). Readout goes through the ``counts``
-property, which flushes the owning core first, so the histogram is exact
-whenever it is read.
+or one round of a longer run. Its ``on_write`` runs once per write, so
+the histogram is exact whenever it is read.
 """
 
 from __future__ import annotations
@@ -32,28 +26,16 @@ from .base import MachineObserver
 class WearMap(MachineObserver):
     """Per-block write counts, accumulated from write events."""
 
-    batch_columns = False
-
     def __init__(self):
-        self._counts: Dict[int, int] = {}
+        #: The per-block write counts.
+        self.counts: Dict[int, int] = {}
 
     def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        self._counts[addr] = self._counts.get(addr, 0) + 1
-
-    def on_batch(self, batch) -> None:
-        counts = self._counts
-        get = counts.get
-        for addr in batch.write_addrs:
-            counts[addr] = get(addr, 0) + 1
+        self.counts[addr] = self.counts.get(addr, 0) + 1
 
     # ------------------------------------------------------------------
     # Readout.
     # ------------------------------------------------------------------
-    @property
-    def counts(self) -> Dict[int, int]:
-        """The per-block write counts (buffered events flushed first)."""
-        self.flush_core()
-        return self._counts
 
     @property
     def total_writes(self) -> int:

@@ -92,7 +92,7 @@ class CapacitySanitizer(Sanitizer):
 
     # ------------------------------------------------------------------
     # Vectorized delivery. The batch's ``occs`` column records ledger
-    # occupancy *after* each event — exactly what the synchronous
+    # occupancy *after* each event — exactly what the per-event
     # handlers read live — so a clean batch reduces to two max() calls.
     # ------------------------------------------------------------------
     def on_batch(self, batch) -> None:
@@ -100,11 +100,11 @@ class CapacitySanitizer(Sanitizer):
         if mx > self.peak:
             self.peak = mx
         if mx <= self.capacity and max(batch.lengths) <= self.block_size:
-            # Touch events are not capacity events (no synchronous
+            # Touch events are not capacity events (no per-event
             # handler exists for them); everything else counts. A touch
             # whose k exceeds B can land us in the slow loop below, but
             # the loop filters by kind, so that costs time, not verdicts.
-            self.events += batch.n - batch.touch_events
+            self.events += batch.n - batch.kinds.count(KIND_TOUCH)
             return
         capacity = self.capacity
         block_size = self.block_size

@@ -1,10 +1,10 @@
 """CostSanitizer: the asymmetric cost identity ``Q = Qr + omega * Qw``.
 
 The paper's whole object of study is the cost functional
-``Q = Qr + omega * Qw`` (Section 2). The machines account for it through
-an always-attached :class:`~repro.observe.CostObserver` ("the ledger"),
-whose phase-path table every cost-by-phase readout (profiler, metrics,
-progress) reads. This sanitizer is the referee: it shares no code with
+``Q = Qr + omega * Qw`` (Section 2). Every machine core accounts for it
+in its own :class:`~repro.machine.cost.CostCounter` ("the ledger",
+``core.counter``), whose phase-path table every cost-by-phase readout
+(profiler, metrics, progress) reads. This sanitizer is the referee: it shares no code with
 the ledger, recomputes everything independently from the raw event
 stream — per-event charges, running totals, and the attribution to
 every phase path — and reconciles against the ledger at the end of the
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..machine.cost import CostCounter
 from ..observe.batch import KIND_READ, KIND_TOUCH, KIND_WRITE
-from ..observe.cost import CostObserver
 from .base import Sanitizer
 
 _TOL = 1e-9
@@ -38,9 +38,8 @@ class CostSanitizer(Sanitizer):
     ----------
     read_cost / write_cost:
         The model's expected per-event charges. Default ``None`` infers
-        them at attach time from the machine's own
-        :class:`~repro.observe.CostObserver`: reads cost ``1`` and writes
-        cost ``omega`` (correct for AEM/EM/ARAM machines). For a flash
+        them at attach time from the core's ledger: reads cost ``1`` and
+        writes cost ``omega`` (correct for AEM/EM/ARAM machines). For a flash
         machine pass ``read_cost=Br, write_cost=Bw`` explicitly.
     """
 
@@ -65,20 +64,16 @@ class CostSanitizer(Sanitizer):
         self.phases: dict[tuple[str, ...], list[float]] = {(): [0, 0, 0, 0, 0]}
         self._stack: list[str] = []
         self._shadow = self.phases[()]
-        self._ledger: Optional[CostObserver] = None
-        self._omega: Optional[float] = None
+        self._ledger: Optional[CostCounter] = None
         self._reconciled = False
 
     def on_attach(self, core) -> None:
         super().on_attach(core)
-        ledgers = core.find(CostObserver)
-        if ledgers:
-            self._ledger = ledgers[0]
-            self._omega = self._ledger.counter.omega
+        self._ledger = core.counter
         if self.read_cost is None:
             self.read_cost = 1
         if self.write_cost is None:
-            self.write_cost = self._omega if self._omega is not None else 1
+            self.write_cost = self._ledger.omega
 
     # ------------------------------------------------------------------
     # Event handlers: independent recount.
@@ -121,10 +116,10 @@ class CostSanitizer(Sanitizer):
 
     def on_batch(self, batch) -> None:
         # Per-event recount in original order (accumulation order and the
-        # ``events`` counter match synchronous dispatch exactly); whole-
+        # ``events`` counter match per-event dispatch exactly); whole-
         # batch phase attribution is valid because phase boundaries flush.
-        # Acquire/release carry no cost and are skipped, as in the
-        # synchronous tier (no handlers for them).
+        # Acquire/release carry no cost and are skipped, as per event
+        # (no handlers for them).
         expected_read = self.read_cost
         expected_write = self.write_cost
         for kind, addr, length, cost in zip(
@@ -190,13 +185,13 @@ class CostSanitizer(Sanitizer):
         if self._reconciled or self._ledger is None:
             return
         self._reconciled = True
-        counter = self._ledger.counter
+        counter = self._ledger
         checks = (
             ("Qr (read count)", counter.reads, self.reads),
             ("Qw (write count)", counter.writes, self.writes),
             ("T (touches)", counter.touches, self.touches),
-            ("accumulated read cost", self._ledger.read_cost, self.read_cost_total),
-            ("accumulated write cost", self._ledger.write_cost, self.write_cost_total),
+            ("accumulated read cost", counter.read_cost, self.read_cost_total),
+            ("accumulated write cost", counter.write_cost, self.write_cost_total),
             (
                 "Q = Qr + omega*Qw",
                 counter.Q,

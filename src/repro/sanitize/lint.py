@@ -129,7 +129,7 @@ _ALLOWED_HANDLERS = set(EVENTS) | {"on_attach", "on_detach", "on_batch"}
 
 #: Column arrays of :class:`repro.observe.batch.EventBatch` — the mutable
 #: buffers the bus reuses across flushes (AEM203 in analysis.py).
-_BATCH_COLUMNS = {"kinds", "addrs", "lengths", "costs", "occs", "whats", "write_addrs"}
+_BATCH_COLUMNS = {"kinds", "addrs", "lengths", "costs", "occs", "whats"}
 
 #: Machine classes the serving layer must never construct (AEM108);
 #: cost queries route through repro.api instead.

@@ -41,10 +41,8 @@ class ProvenanceSanitizer(Sanitizer):
     rule = "PROVENANCE"
 
     # Provenance is atom-identity tracking; a counting machine has no uids
-    # to track, so attaching there must fail loudly (see observe.base),
-    # and batched dispatch must keep exact per-event payload delivery.
+    # to track, so attaching there must fail loudly (see observe.base).
     needs_payloads = True
-    needs_events = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..machine.errors import TraceError
-from ..observe.cost import CostObserver
 from ..trace.program import Program
 from .base import Sanitizer, TraceSanitizer, Violation
 
@@ -38,7 +37,7 @@ class RoundFormSanitizer(Sanitizer):
         Maximum allowed cost per round. Default ``None`` computes the
         Lemma 4.1 guarantee ``2*omega*m + m`` from the attached machine at
         the first boundary (``m = ceil(M/B)`` from the core's ledger
-        capacity and block size, ``omega`` from its cost observer).
+        capacity and block size, ``omega`` from its cost ledger).
     """
 
     rule = "ROUNDFORM"
@@ -53,8 +52,7 @@ class RoundFormSanitizer(Sanitizer):
     def on_attach(self, core) -> None:
         super().on_attach(core)
         if self.budget is None:
-            ledgers = core.find(CostObserver)
-            omega = ledgers[0].counter.omega if ledgers else 1.0
+            omega = core.counter.omega
             m = max(1, -(-core.mem.capacity // core.disk.B))  # ceil(M/B)
             self.budget = 2 * omega * m + m
 

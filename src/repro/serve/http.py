@@ -94,11 +94,12 @@ def _parse_head(head: bytes, *, response: bool) -> tuple[list[str], dict[str, st
 
 def _content_length(headers: Mapping[str, str]) -> int:
     raw = headers.get("content-length", "0")
-    try:
-        length = int(raw)
-    except ValueError:
-        raise ProtocolError(f"bad Content-Length: {raw!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
+    # RFC 9110: Content-Length = 1*DIGIT. int() would also take "+10",
+    # "1_0" and non-ASCII digits.
+    if not (raw.isascii() and raw.isdigit()):
+        raise ProtocolError(f"bad Content-Length: {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(f"Content-Length out of range: {length}")
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise ProtocolError("chunked transfer encoding is not supported")
@@ -125,7 +126,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if not version.startswith("HTTP/1."):
         raise ProtocolError(f"unsupported HTTP version: {version!r}")
     length = _content_length(headers)
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise ProtocolError("connection closed mid-body") from None
     return Request(method=method.upper(), path=path, headers=headers, body=body)
 
 

@@ -421,6 +421,8 @@ class CostServer:
                 )
             except (ProtocolError, asyncio.TimeoutError) as exc:
                 status = 408 if isinstance(exc, asyncio.TimeoutError) else 400
+                # No request line to name an endpoint by: counted as "-".
+                self._requests.labels(endpoint="-", status=str(status)).inc()
                 writer.write(response_bytes(status, {"error": str(exc) or "timeout"}))
                 await writer.drain()
                 return

@@ -38,9 +38,6 @@ class MetricsObserver(LedgerReadout):
     fills the per-phase families and the wear histogram from the ledger
     as it stands)."""
 
-    #: The ``write_addrs`` side list only: no columns.
-    batch_columns = False
-
     def __init__(self) -> None:
         super().__init__()
         self._registry = reg = MetricsRegistry()
@@ -80,21 +77,14 @@ class MetricsObserver(LedgerReadout):
     def on_write(self, addr: int, items: Sequence, cost: float) -> None:
         self._block_writes[addr] = self._block_writes.get(addr, 0) + 1
 
-    def on_batch(self, batch) -> None:
-        block_writes = self._block_writes
-        get = block_writes.get
-        for addr in batch.write_addrs:
-            block_writes[addr] = get(addr, 0) + 1
-
     def on_round_boundary(self, index: int) -> None:
         self._rounds.inc()
 
     # ------------------------------------------------------------------
-    # Readout (buffered events are flushed first, so reads are exact).
+    # Readout.
     # ------------------------------------------------------------------
     def wear_histogram(self):
         """Per-block write counts as a :class:`~repro.telemetry.metrics.Histogram`."""
-        self.flush_core()
         hist = self._registry.histogram(
             "machine_block_writes", "writes per external block (wear)"
         )
@@ -142,7 +132,7 @@ class MetricsObserver(LedgerReadout):
     @property
     def registry(self) -> MetricsRegistry:
         """The registry, its per-phase families and wear histogram filled
-        from the ledger as it stands (reading flushes the machines)."""
+        from the ledger as it stands."""
         self.wear_histogram()
         self.per_phase()
         return self._registry

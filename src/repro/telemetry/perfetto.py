@@ -302,8 +302,6 @@ class PerfettoObserver(MachineObserver):
         # the kind/cost columns and produces the identical event list a
         # synchronous run would. Phase/round marks stay synchronous and
         # land at the right clock because boundaries flush first.
-        if not (batch.reads or batch.writes):
-            return
         for kind, cost in zip(batch.kinds, batch.costs):
             if kind == KIND_READ:
                 self.clock += 1

@@ -1,8 +1,8 @@
 """I/O cost-attribution profiling: where Q = Qr + omega*Qw is spent.
 
 :class:`CostProfiler` reads the phase-path table of the cost ledger every
-machine keeps (:class:`~repro.machine.cost.CostCounter`, driven by the
-machine's :class:`~repro.observe.CostObserver`): every I/O is attributed
+machine core keeps and charges (``core.counter``, a
+:class:`~repro.machine.cost.CostCounter`): every I/O is attributed
 to the *stack path* under which it happened — ``("sort", "form_runs")``
 rather than the innermost phase alone. It consumes no events itself: it
 is a :class:`~repro.observe.ledger.LedgerReadout` of the machines it is
@@ -55,7 +55,7 @@ class CostProfiler(LedgerReadout):
         self.root = root
 
     # ------------------------------------------------------------------
-    # Readout (through the ledgers, which flush their cores first).
+    # Readout (through the ledgers).
     # ------------------------------------------------------------------
     def paths(self) -> Paths:
         """Attribution by stack path (root not included in the keys):
@@ -88,8 +88,8 @@ class CostProfiler(LedgerReadout):
 
         ``ledger`` defaults to :meth:`ledger`; an explicit one is anything
         Mapping-shaped with the ledger keys — a
-        :class:`~repro.machine.cost.CostRecord`, a ``CostObserver``
-        snapshot dict, or a plain dict. Returns human-readable mismatch
+        :class:`~repro.machine.cost.CostRecord`, a ledger snapshot
+        dict, or a plain dict. Returns human-readable mismatch
         descriptions (empty == conserved), mirroring how the cost
         sanitizer reconciles recomputed costs.
         """

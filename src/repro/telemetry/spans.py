@@ -22,7 +22,8 @@ re-establish the span explicitly from the pickled context and ship their
 recorded segments back as plain dicts.
 
 The machine has no wall clock — its timeline is the logical one
-microsecond per I/O — so each recorded segment also carries the
+microsecond per I/O, read from the core's cost ledger (the recorder
+counts nothing itself) — so each recorded segment also carries the
 ``time.perf_counter()`` at which its machine was built. Rendering
 (:func:`render_machine_segments`) anchors the logical timeline at that
 wall instant relative to the trace's ``t0``, which keeps the flow chain
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..machine.core import install_span_observer_factory
+from ..machine.cost import CostCounter
 from ..observe.base import MachineObserver
 from .perfetto import MACHINE_PID, ChromeTraceBuilder
 
@@ -153,40 +155,31 @@ class SpanPhaseRecorder(MachineObserver):
 
     Attached automatically (via the machine-core factory hook) to every
     machine built while an ambient span *and* collector are active. The
-    timeline uses the machine's logical clock (one tick per I/O) and is
-    aggregate-only on the batched bus (``batch_columns = False``) —
-    phase boundaries are flush points, so the tick at each ``B``/``E``
-    mark is exact batched or per-event.
+    timeline uses the machine's logical clock, one tick per I/O: each
+    ``B``/``E`` mark is stamped with the I/O count of the core's cost
+    ledger since attach, and the exported totals are the ledger's
+    deltas since attach. It handles no I/O events itself.
     """
-
-    batch_columns = False
 
     def __init__(self, span: SpanContext):
         self.span = span
         self.wall_start = time.perf_counter()
-        self.clock = 0  # logical microseconds: one per I/O
-        self.reads = 0
-        self.writes = 0
-        self.read_cost = 0.0
-        self.write_cost = 0.0
         self.timeline: list[tuple] = []  # ("B"|"E", phase name, tick)
+        self._ledger: Optional[CostCounter] = None
+        self._base = (0, 0, 0.0, 0.0)
 
-    def on_read(self, addr: int, items: Sequence, cost: float) -> None:
-        self.clock += 1
-        self.reads += 1
-        self.read_cost += cost
+    def on_attach(self, core) -> None:
+        super().on_attach(core)
+        ledger = self._ledger = core.counter
+        self._base = (ledger.reads, ledger.writes, ledger.read_cost, ledger.write_cost)
 
-    def on_write(self, addr: int, items: Sequence, cost: float) -> None:
-        self.clock += 1
-        self.writes += 1
-        self.write_cost += cost
-
-    def on_batch(self, batch) -> None:
-        self.clock += batch.reads + batch.writes
-        self.reads += batch.reads
-        self.writes += batch.writes
-        self.read_cost += batch.read_cost
-        self.write_cost += batch.write_cost
+    @property
+    def clock(self) -> int:
+        """The logical clock: I/Os since attach."""
+        ledger = self._ledger
+        if ledger is None:
+            return 0
+        return ledger.reads + ledger.writes - self._base[0] - self._base[1]
 
     def on_phase_enter(self, name: str) -> None:
         self.timeline.append(("B", name, self.clock))
@@ -195,16 +188,22 @@ class SpanPhaseRecorder(MachineObserver):
         self.timeline.append(("E", name, self.clock))
 
     def export(self) -> dict:
-        """The segment as a plain picklable dict (buffered events first)."""
-        self.flush_core()
+        """The segment as a plain picklable dict."""
+        ledger = self._ledger
+        reads, writes, read_cost, write_cost = self._base
+        if ledger is not None:
+            reads = ledger.reads - reads
+            writes = ledger.writes - writes
+            read_cost = ledger.read_cost - read_cost
+            write_cost = ledger.write_cost - write_cost
         return {
             "span": self.span.as_dict(),
             "wall_start": self.wall_start,
-            "io": self.clock,
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_cost": self.read_cost,
-            "write_cost": self.write_cost,
+            "io": reads + writes,
+            "reads": reads,
+            "writes": writes,
+            "read_cost": read_cost,
+            "write_cost": write_cost,
             "timeline": list(self.timeline),
         }
 

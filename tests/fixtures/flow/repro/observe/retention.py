@@ -32,16 +32,16 @@ class OtherParameterName(MachineObserver):
         self.stash = events.lengths  # aem-expect: AEM203
 
 
-class StoresTheWriteAddresses(MachineObserver):
-    """The ``write_addrs`` side list is reused like the columns."""
+class StoresTheAcquireLabels(MachineObserver):
+    """The ``whats`` side list is reused like the columns."""
 
     def on_batch(self, batch):
-        self.written = batch.write_addrs  # aem-expect: AEM203
+        self.labels = batch.whats  # aem-expect: AEM203
 
 
-class CopiesTheWriteAddresses(MachineObserver):
+class CopiesTheAcquireLabels(MachineObserver):
     def on_batch(self, batch):
-        self.written = list(batch.write_addrs)
+        self.labels = list(batch.whats)
 
 
 class CopiesColumns(MachineObserver):
@@ -50,10 +50,9 @@ class CopiesColumns(MachineObserver):
         self.kinds = tuple(batch.kinds)
 
 
-class ReadsScalarAggregates(MachineObserver):
+class ReadsTheEventCount(MachineObserver):
     def on_batch(self, batch):
-        self.reads = self.reads + batch.reads
-        self.seen = batch.n
+        self.seen = self.seen + batch.n
 
 
 class ExtendsWithColumnElements(MachineObserver):

@@ -33,9 +33,7 @@ MODES = pytest.mark.parametrize("counting", [False, True], ids=["full", "countin
 
 
 class EventLog(MachineObserver):
-    """Every event as it happens (synchronous), with the occupancy at it."""
-
-    needs_events = True
+    """Every event as it happens, with the occupancy at it."""
 
     def __init__(self):
         self.events = []
@@ -132,7 +130,6 @@ def test_refused_flash_write_leaves_nothing_to_read(counting):
 # ----------------------------------------------------------------------
 def _state(m, log, addrs):
     live = [a for a in addrs if a in m.disk]
-    m.flush()
     return {
         "occupancy": m.mem.occupancy,
         "peak": m.mem.peak,

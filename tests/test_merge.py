@@ -220,13 +220,8 @@ class TestTheorem32:
 
 
 class PointerLogMeter(MachineObserver):
-    """Counts "pointer log" word acquisitions synchronously.
-
-    ``needs_events = True`` opts out of batched replay-with-placeholders
-    so the ``what`` labels arrive exact and in order.
-    """
-
-    needs_events = True
+    """Counts "pointer log" word acquisitions as they happen, with their
+    ``what`` labels exact and in order."""
 
     def __init__(self):
         self.words = 0
@@ -252,7 +247,6 @@ class TestPointerLogAccounting:
         m = AEMMachine.for_algorithm(p, observers=[meter])
         runs, atoms = build_runs(m, [60] * fanin, seed=fanin)
         out = multiway_merge(m, runs, p)
-        m.flush()
         total = sum(r.length for r in runs)
         n_blocks = sum(r.blocks for r in runs)
         rounds = -(-total // p.M)  # ceil
@@ -277,7 +271,6 @@ class TestPointerLogAccounting:
             m = AEMMachine.for_algorithm(p, observers=[meter])
             runs, _ = build_runs(m, [60 * scale] * 4, seed=9)
             multiway_merge(m, runs, p)
-            m.flush()
             words.append(meter.words)
         # Doubling the data at fixed fan-in should roughly double the log
         # traffic — allow 3x slack per doubling, far below quadratic.

@@ -107,9 +107,8 @@ class TestDispatch:
                 self.writes += 1
 
         # Per-event delivery: only the overridden handler lands in a
-        # per-event callback list, and it fires synchronously.
+        # per-event callback list, and it fires as the event happens.
         obs = WritesOnly()
-        obs.needs_events = True
         machine = AEMMachine(P, observers=[obs])
         core = machine.core
         assert obs.on_write in getattr(core, "_on_write")
@@ -119,28 +118,35 @@ class TestDispatch:
         machine.release(machine.read(addr))
         assert obs.writes == 1
 
-    def test_legacy_observer_replayed_in_batched_mode(self):
-        class WritesOnly(MachineObserver):
+    def test_on_batch_override_takes_the_columns_instead(self):
+        class WritesInBatches(MachineObserver):
             def __init__(self):
-                self.writes = 0
+                self.kinds = []
 
             def on_write(self, addr, items, cost):
-                self.writes += 1
+                raise AssertionError("an on_batch consumer gets no per-event calls")
 
-        obs = WritesOnly()
+            def on_phase_enter(self, name):
+                self.kinds.append(name)
+
+            def on_batch(self, batch):
+                self.kinds.extend(batch.kinds)
+
+        obs = WritesInBatches()
         machine = AEMMachine(P, observers=[obs])
         core = machine.core
-        # A legacy observer is a batch consumer through the inherited
-        # on_batch, which replays the columns to its handlers at flush
-        # boundaries; it is on none of the per-event lists.
+        # Overriding on_batch moves the batchable events to the batch;
+        # phase handlers stay per event, after the flush.
         assert obs.on_batch in core._on_batch
-        assert core._record_columns is True
         assert all(obs.on_write != cb for cb in getattr(core, "_on_write"))
+        assert obs.on_phase_enter in getattr(core, "_on_phase_enter")
         machine.acquire(2)
         addr = machine.write_fresh([1, 2])
-        machine.release(machine.read(addr))
+        assert obs.kinds == [] and core.batch.n == 2
+        with machine.phase("p"):
+            machine.release(machine.read(addr))
         machine.flush()
-        assert obs.writes == 1
+        assert obs.kinds == [2, 1, "p", 0, 3]  # acquire, write | read, release
 
     def test_attach_detach(self):
         machine = AEMMachine(P)
@@ -264,7 +270,6 @@ class TestFlashEvents:
         addr = fm.write_fresh(list(range(8)))
         fm.read_small(addr, 1)
         fm.read_covering(addr, 3, 7)
-        fm.flush()  # EventLog is a replayed (batch-buffered) consumer
         assert log.events[0] == ("write", addr, 8, 8)  # cost = Bw volume
         assert all(e[3] == 2 for e in log.events[1:])  # cost = Br volume
         # one explicit small read + three covering [3, 7) at Br=2
@@ -345,7 +350,6 @@ class TestProgressObserver:
                 machine.acquire(2)
                 a = machine.write_fresh([1, 2])
                 machine.release(machine.read(a))
-            machine.flush()
             assert machine.counter.path == ("sort",)
         assert "phase=sort/merge" in buf.getvalue()
         prog.close()
@@ -376,7 +380,6 @@ class TestProgressObserver:
         machine.acquire(1)
         a = machine.write_fresh([1])
         machine.release(machine.read(a))
-        machine.flush()  # deliver buffered I/O events to the observer
         assert "\r" in buf.getvalue()  # frames rendered despite non-TTY
 
     def test_explicit_live_beats_autodetect(self, monkeypatch):
@@ -442,8 +445,53 @@ class TestMachineCore:
         got = core.read_block(addr, 1.0)
         assert got == [1, 2]
         assert core.io_count == 2
-        core.flush_events()  # the log observer is replayed at flush
         assert [e[0] for e in log.events] == ["write", "read"]
+
+    @staticmethod
+    def _driven_bare_core():
+        """A bare core (no machine, no CostObserver) with a profiler, a
+        metrics observer and a cost sanitizer, driven by hand."""
+        from repro.machine.blockstore import BlockStore
+        from repro.machine.internal import InternalMemory
+        from repro.sanitize.cost import CostSanitizer
+        from repro.telemetry import CostProfiler, MetricsObserver
+
+        core = MachineCore(BlockStore(4), InternalMemory(16))
+        observers = (
+            core.attach(CostProfiler(root="bare")),
+            core.attach(MetricsObserver()),
+            core.attach(CostSanitizer()),
+        )
+        (addr,) = core.disk.load_items([1, 2, 3])
+        with core.phase("scan"):
+            core.release(core.read_block(addr))
+            core.touch(4)
+            core.acquire(2)
+            core.write_block(addr, [7, 8])
+        core.touch(1)
+        return (core,) + observers
+
+    def test_profilers_read_a_bare_core(self):
+        from repro.machine.cost import CostRecord, PathStats
+
+        core, prof, metrics, sanitizer = self._driven_bare_core()
+        assert prof.ledger() == CostRecord(Q=2, Qr=1, Qw=1, T=5, peak_mem=3)
+        assert prof.paths() == {
+            ("scan",): PathStats(1, 1, 1.0, 1.0, 4), (): PathStats(touches=1)
+        }
+        assert prof.conservation_errors() == []
+        assert metrics.per_phase() == {
+            "scan": {"reads": 1, "read_cost": 1.0, "writes": 1,
+                     "write_cost": 1.0, "touches": 4},
+            "-": {"touches": 1},
+        }
+        assert sanitizer.ok, sanitizer.violations
+
+    def test_sanitizer_flags_a_tampered_bare_core_ledger(self):
+        core, _prof, _metrics, sanitizer = self._driven_bare_core()
+        core.counter.reads += 1  # cook the books
+        assert not sanitizer.ok
+        assert any("Qr" in v.message for v in sanitizer.violations)
 
     def test_import_order_observe_first(self):
         """repro.observe must be importable before repro.machine."""
@@ -455,6 +503,12 @@ class TestMachineCore:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert out.returncode == 0 and out.stdout.strip() == "ok"
+
+
+def _last_io_sample(perfetto) -> dict:
+    """The args of a Perfetto observer's last ``I/O`` counter sample."""
+    samples = [e for e in perfetto.builder.events if e["name"] == "I/O"]
+    return samples[-1]["args"]
 
 
 class TestMachineLifetime:
@@ -486,11 +540,12 @@ class TestMachineLifetime:
         assert wear.total_writes > 0
 
     def test_observers_outliving_machine_read_every_event(self):
-        from repro.telemetry import MetricsObserver
+        from repro.telemetry import MetricsObserver, PerfettoObserver
 
         m = AEMMachine(P)
-        cost, wear, metrics = CostObserver(omega=P.omega), WearMap(), MetricsObserver()
-        for obs in (cost, wear, metrics):
+        cost, wear, metrics = CostObserver(), WearMap(), MetricsObserver()
+        perfetto = PerfettoObserver()  # an on_batch consumer: it buffers
+        for obs in (cost, wear, metrics, perfetto):
             m.attach(obs)
         addrs = m.load_input(range(24))
         for a in addrs:
@@ -503,18 +558,22 @@ class TestMachineLifetime:
         assert wear.counts == {addrs[0]: 1}
         (phase,) = metrics.per_phase().values()
         assert (phase["reads"], phase["writes"], phase["touches"]) == (3, 1, 5)
+        # The finalizer's flush delivered the buffered events.
+        assert perfetto.clock == 4
+        assert _last_io_sample(perfetto) == {"Qr": 3, "Qw": 1}
 
     def test_readouts_see_the_last_events_of_a_core_freed_in_a_cycle(self):
         """The cyclic collector clears weak references before it runs
         ``MachineCore.__del__``, whose flush still reaches the readouts."""
         import gc
 
-        from repro.telemetry import CostProfiler, MetricsObserver
+        from repro.telemetry import CostProfiler, MetricsObserver, PerfettoObserver
 
         gc.disable()
         try:
             m = AEMMachine(P)
             prof, metrics = m.attach(CostProfiler()), m.attach(MetricsObserver())
+            perfetto = m.attach(PerfettoObserver())
             for a in m.load_input(range(24)):
                 m.release(m.read(a))
             m.touch(5)
@@ -529,6 +588,8 @@ class TestMachineLifetime:
         assert metrics.per_phase() == {
             "-": {"reads": 3, "read_cost": 3.0, "touches": 5}
         }
+        assert perfetto.clock == 3
+        assert _last_io_sample(perfetto) == {"Qr": 3, "Qw": 0}
 
     @pytest.mark.parametrize("counting", [False, True], ids=["full", "counting"])
     def test_core_with_profiler_freed_without_gc(self, counting):
@@ -537,24 +598,29 @@ class TestMachineLifetime:
 
         import numpy as np
 
-        from repro.telemetry import CostProfiler
+        from repro.telemetry import CostProfiler, PerfettoObserver
 
         prof = CostProfiler(root="sort")
+        perfetto = PerfettoObserver()
         gc.disable()
         try:
-            m = AEMMachine.for_algorithm(P, counting=counting, observers=[prof])
+            m = AEMMachine.for_algorithm(
+                P, counting=counting, observers=[prof, perfetto]
+            )
             atoms = sort_input(300, "uniform", np.random.default_rng(3))
-            SORTERS["aem_mergesort"](m, m.load_input(atoms), P)
-            snap, peak = m.snapshot(), m.mem.peak
+            out = SORTERS["aem_mergesort"](m, m.load_input(atoms), P)
+            m.release(m.read(out[0]))
             m.touch(5)
-            assert m.core.batch.n > 0, "the touch must still be buffered"
+            snap, peak = m.snapshot(), m.mem.peak
+            assert m.core.batch.n > 0, "the last events must still be buffered"
             core = weakref.ref(m.core)
             del m
             assert core() is None, "the profiler kept the core alive"
         finally:
             gc.enable()
+        assert perfetto.clock == snap.io
         ledger = prof.ledger()
         assert (ledger.Q, ledger.Qr, ledger.Qw, ledger.T, ledger.peak_mem) == (
-            snap.Q, snap.reads, snap.writes, snap.touches + 5, peak
+            snap.Q, snap.reads, snap.writes, snap.touches, peak
         )
         assert prof.conservation_errors() == []

@@ -4,8 +4,8 @@ The cardinal property pinned here is **conservation**: for every
 registered sorter, permuter, and SpMxV algorithm, the profiler's
 per-path attribution sums exactly to the machine's own cost ledger, on
 full *and* counting machines, across hypothesis-drawn (M, B, omega, N)
-points; and the ledger's batched path table equals a per-event
-(``needs_events``) twin's in the same run. On top of that: windows of
+points; and the ledger's path table equals an independent per-event
+recount (the cost sanitizer's) in the same run. On top of that: windows of
 observers attached mid-run, the export formats (folded stacks,
 speedscope JSON, the top-N table), sweep-level merging, the engine's
 ``profile=True`` collection path, and the ``repro-aem profile`` CLI
@@ -22,8 +22,9 @@ from repro.api.measures import measure_sort
 from repro.core.params import AEMParams
 from repro.engine import ExperimentConfig, SweepEngine
 from repro.machine.aem import AEMMachine
-from repro.observe import CostObserver
+from repro.observe import MachineObserver
 from repro.permute.base import PERMUTERS
+from repro.sanitize.cost import CostSanitizer
 from repro.sorting.base import SORTERS
 from repro.telemetry import MetricsObserver
 from repro.telemetry.profile import (
@@ -57,14 +58,15 @@ def _query(workload: str, impl: str, *, counting: bool = False) -> dict:
     return {**base, "n": 128, "delta": 3, "algorithm": impl}
 
 
-class _LedgerTwin(CostObserver):
-    """A per-event cost ledger that also keeps its machine's own."""
+class _LedgerTwin(CostSanitizer):
+    """An independent per-event recount of every path, beside its
+    machine's ledger."""
 
-    needs_events = True
+    on_batch = MachineObserver.on_batch  # the base hook: per-event delivery
 
     def on_attach(self, core):
         super().on_attach(core)
-        self.machine_ledger = core.find(CostObserver)[0]
+        self.machine_ledger = core.counter
 
 
 ALL_CASES = (
@@ -99,11 +101,15 @@ class TestConservation:
                               ("permute", "adaptive"),
                               ("spmxv", "sort_based")])
     def test_batched_events_parity(self, workload, impl):
-        """A per-event ledger twin on the same run attributes identically."""
+        """A per-event recount on the same run attributes identically."""
         twin = _LedgerTwin()
         rec = api.evaluate(workload, _query(workload, impl), observers=[twin])
-        paths = twin.machine_ledger.counter.paths()
-        assert paths == twin.counter.paths()
+        paths = twin.machine_ledger.paths()
+        assert {
+            path: [s.reads, s.writes, s.read_cost, s.write_cost, s.touches]
+            for path, s in paths.items()
+        } == twin.phases
+        assert twin.ok
         assert sum(s.reads for s in paths.values()) == rec["Qr"]
         assert sum(s.writes for s in paths.values()) == rec["Qw"]
 

@@ -20,7 +20,6 @@ from repro.atoms.atom import Atom, make_atoms
 from repro.core.params import AEMParams
 from repro.flashred.reduction import FlashReductionReport, lemma_4_3_bound
 from repro.machine.aem import AEMMachine
-from repro.observe import CostObserver
 from repro.sanitize import (
     MAX_VIOLATIONS,
     CapacitySanitizer,
@@ -167,11 +166,10 @@ class TestCostSanitizer:
         machine = AEMMachine(P)
         suite = sanitized(machine)
         addrs = machine.load_input(make_atoms(range(P.B)))
-        ledger = machine.core.find(CostObserver)[0]
-        ledger.on_phase_enter("elsewhere")
+        machine.counter.enter_phase("elsewhere")
         with machine.phase("scan"):
             machine.release(machine.read(addrs[0]))
-        ledger.on_phase_exit("elsewhere")
+        machine.counter.exit_phase("elsewhere")
         assert rules_flagged(suite) == {"COST"}
         messages = [v.message for v in suite.violations]
         assert any("'scan' seen on the bus but missing" in m for m in messages)

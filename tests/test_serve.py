@@ -376,6 +376,17 @@ class TestServeBench:
 # ----------------------------------------------------------------------
 # HTTP plumbing corners.
 # ----------------------------------------------------------------------
+def _raw_exchange(server, raw: bytes) -> bytes:
+    """Send ``raw``, close the sending side, and read the answer to EOF."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestHttpPlumbing:
     def test_oversized_body_rejected(self, server):
         import repro.serve.http as http
@@ -394,6 +405,41 @@ class TestHttpPlumbing:
             sock.sendall(b"NOT A REQUEST\r\n\r\n")
             data = sock.recv(65536)
         assert b"400" in data.split(b"\r\n", 1)[0]
+
+    def test_truncated_body_gets_400_and_the_server_keeps_serving(self, server):
+        # The client declares 100 body bytes, sends 7, then closes its
+        # sending side while it still reads the answer.
+        data = _raw_exchange(
+            server,
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sort\"",
+        )
+        assert data.split(b"\r\n", 1)[0].split(b" ")[1] == b"400"
+        assert b"connection closed mid-body" in data
+        assert server.get("/healthz").json() == {"ok": True, "draining": False}
+
+    @pytest.mark.parametrize(
+        "raw", ["1_0", "+10", "\u0661\u0660"], ids=["underscore", "plus", "non-ascii"]
+    )
+    def test_content_length_takes_ascii_digits_only(self, raw):
+        import repro.serve.http as http
+
+        assert int(raw) == 10  # what the header must not be read as
+        with pytest.raises(ProtocolError, match="bad Content-Length"):
+            http._content_length({"content-length": raw})
+
+    def test_malformed_requests_are_counted_in_metrics(self):
+        with ServerThread(serve_config()) as srv:
+            for raw in (
+                b"NOT A REQUEST\r\n\r\n",
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n{}",
+            ):
+                data = _raw_exchange(srv, raw)
+                assert data.split(b"\r\n", 1)[0].split(b" ")[1] == b"400"
+            series = srv.get("/metrics").json()["serve_requests_total"]["series"]
+        counts = {
+            (s["labels"]["endpoint"], s["labels"]["status"]): s["value"] for s in series
+        }
+        assert counts[("-", "400")] == 2
 
     def test_explicit_content_length_zero_yields_empty_body(self):
         # Regression: `rest[:0] or rest` used to hand back the *entire*

@@ -17,6 +17,9 @@ from repro.api.measures import measure_sort
 from repro.core.params import AEMParams
 from repro.engine import SweepEngine
 from repro.machine.aem import AEMMachine
+from repro.machine.blockstore import BlockStore
+from repro.machine.core import MachineCore
+from repro.machine.internal import InternalMemory
 from repro.telemetry import validate_trace
 from repro.telemetry.perfetto import ChromeTraceBuilder
 from repro.telemetry.spans import (
@@ -249,14 +252,19 @@ class TestFlowEvents:
 
 class TestRenderMachineSegments:
     def _segment(self, span):
-        recorder = SpanPhaseRecorder(span)
-        recorder.on_phase_enter("sort")
-        recorder.on_read(0, (), 1.0)
-        recorder.on_phase_enter("merge")
-        recorder.on_write(8, (), 4.0)
-        recorder.on_phase_exit("merge")
-        recorder.on_phase_exit("sort")
-        return recorder.export()
+        core = MachineCore(BlockStore(8), InternalMemory(16), omega=4)
+        recorder = core.attach(SpanPhaseRecorder(span))
+        (addr,) = core.disk.load_items([1])
+        with core.phase("sort"):
+            core.release(core.read_block(addr, 1.0))
+            with core.phase("merge"):
+                core.acquire(1)
+                core.write_block(addr, [2], 4.0)
+        seg = recorder.export()
+        assert seg["timeline"] == [
+            ("B", "sort", 0), ("B", "merge", 1), ("E", "merge", 2), ("E", "sort", 2)
+        ]
+        return seg
 
     def test_segments_render_as_validated_lanes(self):
         span = SpanContext.root()

@@ -173,9 +173,7 @@ class TestWriter:
 
 
 class WriteLog(MachineObserver):
-    """Synchronous record of every write: address, length, occupancy."""
-
-    needs_events = True
+    """Per-event record of every write: address, length, occupancy."""
 
     def __init__(self):
         self.events = []

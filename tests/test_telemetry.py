@@ -246,54 +246,26 @@ class TestMetricsObserver:
     @pytest.mark.no_sanitize  # counts exact listeners; sanitizers add theirs
     def test_no_observer_means_no_extra_callbacks(self):
         """Acceptance: with no MetricsObserver attached, the metrics layer
-        adds zero per-I/O work to an unobserved run. Under batched
-        dispatch that means: no per-event I/O callbacks at all, one batch
-        consumer (the CostObserver ledger), and no column recording."""
+        adds zero per-I/O work to an unobserved run. The core charges its
+        own ledger, so a default machine has no callbacks at all and
+        never buffers; the observer adds exactly its overridden
+        handlers, and detaching it takes them away again."""
         machine = AEMMachine(P)
         core = machine.core
-        # The always-attached CostObserver consumes batch aggregates only.
-        assert len(core._on_batch) == 1
-        assert len(core._on_read) == 0 and len(core._on_write) == 0
-        assert core._record_columns is False
+        lists = ("on_read", "on_write", "on_touch", "on_phase_enter",
+                 "on_phase_exit", "on_round_boundary")
+        assert core._on_batch == [] and core._buffering is False
+        assert all(not getattr(core, "_" + name) for name in lists)
         obs = MetricsObserver()
         machine.attach(obs)
-        core = machine.core
-        # MetricsObserver is a second batch consumer (the write_addrs side
-        # list, no columns) plus a synchronous round handler; it reads
-        # phases from the ledger. Still no per-I/O lists.
-        assert len(core._on_batch) == 2
-        assert core._record_columns is False
-        assert len(core._on_read) == 0 and len(core._on_write) == 0
-        assert len(core._on_phase_enter) == 1  # the ledger
-        assert len(core._on_round_boundary) == 1
-        machine.detach(obs)
-        assert len(core._on_batch) == 1
-        assert core._record_columns is False
-        assert len(core._on_phase_enter) == 1 and len(core._on_round_boundary) == 0
-
-    @pytest.mark.no_sanitize  # inspects exact listener lists
-    def test_events_mode_keeps_legacy_callback_lists(self):
-        """A ``needs_events`` instance keeps the seed's synchronous
-        contract: attach adds exactly the overridden handlers to the
-        per-event lists; detach restores them."""
-        machine = AEMMachine(P)
-        core = machine.core
-        baseline = {name: len(getattr(core, "_" + name)) for name in
-                    ("on_read", "on_write", "on_touch", "on_phase_enter",
-                     "on_phase_exit", "on_round_boundary")}
-        obs = MetricsObserver()
-        obs.needs_events = True
-        machine.attach(obs)
-        assert obs.on_batch not in core._on_batch
-        grown = {name: len(getattr(machine.core, "_" + name)) for name in baseline}
-        # It reads phases from the ledger; it handles writes and rounds.
-        overridden = {"on_write", "on_round_boundary"}
-        assert grown == {
-            name: n + (name in overridden) for name, n in baseline.items()
+        # It reads reads, costs, touches and phases from the ledger; it
+        # counts per-block writes and rounds itself, once per event.
+        assert {name: len(getattr(core, "_" + name)) for name in lists} == {
+            name: int(name in ("on_write", "on_round_boundary")) for name in lists
         }
+        assert core._on_batch == [] and core._buffering is False
         machine.detach(obs)
-        restored = {name: len(getattr(machine.core, "_" + name)) for name in baseline}
-        assert restored == baseline
+        assert all(not getattr(core, "_" + name) for name in lists)
 
 
 def tiny_measure(n, scale=1):
