@@ -237,9 +237,42 @@ class TestNeedsPayloads:
             AEMMachine(P, counting=True, observers=(_PayloadObserver(),))
 
 
+def _detach_ledger_handle(machine):
+    machine.detach(machine._cost)
+    assert machine._cost not in machine.observers
+
+
+def _write_read_rewrite(machine, B, midway):
+    """Write one fresh block, call ``midway``, then read the block back
+    and rewrite it in place."""
+    machine.acquire(B)
+    addr = machine.write_fresh(list(range(B)))
+    midway(machine)
+    machine.release(machine.read(addr))
+    machine.acquire(B)
+    machine.write(addr, list(range(B)))
+
+
+def _write_read_small(machine, midway):
+    """Write one fresh flash block, call ``midway``, then read a small
+    block of it."""
+    addr = machine.write_fresh(list(range(machine.Bw)))
+    midway(machine)
+    machine.read_small(addr, 0)
+
+
 class TestDetachGuard:
     """Detaching is guard-free: the cost readouts live in the core's
-    ledger, not in any observer."""
+    ledger, not in any observer, so detaching the ``CostObserver`` handle
+    cannot take the ledger off the machine."""
+
+    @pytest.mark.parametrize("counting", [False, True])
+    def test_cost_observer_cannot_be_detached(self, counting):
+        # The handle leaves the bus mid-run; the core keeps charging the
+        # ledger, so the readouts count the I/Os on either side of it.
+        m = AEMMachine(P, counting=counting)
+        _write_read_rewrite(m, P.B, _detach_ledger_handle)
+        assert (m.reads, m.writes, m.cost) == (1, 2, 1 + 2 * P.omega)
 
     def test_other_observers_detach_fine(self):
         m = AEMMachine(P)
@@ -247,22 +280,42 @@ class TestDetachGuard:
         m.detach(obs)
         assert obs not in m.observers
 
-    def test_detaching_the_ledger_handle_keeps_the_readouts_counting(self):
-        for m in (AEMMachine(P), AEMMachine(P, counting=True), em_machine(M=64, B=8)):
-            omega = m.params.omega
-            m.acquire(P.B)
-            a = m.write_fresh(list(range(P.B)))
-            m.detach(m._cost)
-            assert m._cost not in m.observers
-            m.release(m.read(a))
-            m.acquire(P.B)
-            m.write(a, list(range(P.B)))
-            assert (m.reads, m.writes, m.cost) == (1, 2, 1 + 2 * omega)
-        fm = FlashMachine(M=64, Br=2, Bw=8)
-        fm.detach(fm._cost)
-        addr = fm.write_fresh(list(range(8)))
-        fm.read_small(addr, 0)
-        assert (fm.read_ops, fm.write_ops, fm.volume) == (1, 1, 2 + 8)
+    @pytest.mark.parametrize(
+        "make, run, readout, expected",
+        [
+            pytest.param(
+                lambda: AEMMachine(P),
+                lambda m, midway: _write_read_rewrite(m, P.B, midway),
+                lambda m: (m.reads, m.writes, m.cost),
+                (1, 2, 1 + 2 * P.omega),
+                id="aem",
+            ),
+            pytest.param(
+                lambda: em_machine(M=64, B=8),
+                lambda m, midway: _write_read_rewrite(m, 8, midway),
+                lambda m: (m.reads, m.writes, m.cost),
+                (1, 2, 3),
+                id="em",
+            ),
+            pytest.param(
+                lambda: FlashMachine(M=64, Br=2, Bw=8),
+                _write_read_small,
+                lambda m: (m.read_ops, m.write_ops, m.volume),
+                (1, 1, 2 + 8),
+                id="flash",
+            ),
+        ],
+    )
+    def test_guard_is_uniform_across_machines(self, make, run, readout, expected):
+        # No machine refuses to detach its CostObserver: each reads its
+        # volume/cost from the core's ledger, which no detach can freeze.
+        m = make()
+        run(m, _detach_ledger_handle)
+        assert readout(m) == expected
+        # Foreign observers detach just as well.
+        obs = m.attach(MachineObserver())
+        m.detach(obs)
+        assert obs not in m.observers
 
 
 # ----------------------------------------------------------------------
