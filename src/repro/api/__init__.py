@@ -84,7 +84,7 @@ def sweep(
     before anything runs), grouped by workload, and dispatched through
     the engine one :meth:`~repro.engine.core.SweepEngine.map` call per
     group — so a mixed batch still gets the engine's caching and
-    parallel fan-out, and the server's batch window coalesces into the
+    parallel fan-out, and each batch the server coalesces costs the
     minimum number of engine calls.
 
     ``spans`` (parallel to ``queries``, entries may be ``None``) carries

@@ -566,10 +566,14 @@ async def _serve_until_drained(config) -> int:
             loop.add_signal_handler(sig, _drain)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass  # platforms/loops without signal support: ctrl-C still lands
+    batching = (
+        f"batch window {config.batch_window * 1e3:g}ms"
+        if config.batch_window > 0
+        else "group commit"
+    )
     print(
         f"repro-aem serve: listening on http://{config.host}:{server.port} "
-        f"(batch window {config.batch_window * 1e3:g}ms, "
-        f"max pending {config.max_pending}); SIGINT/SIGTERM drains",
+        f"({batching}, max pending {config.max_pending}); SIGINT/SIGTERM drains",
         file=sys.stderr,
     )
     await server.wait_closed()
@@ -816,8 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--batch-window",
         type=float,
-        default=0.010,
-        help="seconds admitted queries wait to coalesce into one engine call",
+        default=0.0,
+        help="seconds to hold each batch open for more queries (default 0: "
+        "group commit, everything queued dispatches as soon as the engine "
+        "is free)",
     )
     sv.add_argument(
         "--max-batch", type=int, default=64, help="max queries per engine call"
@@ -887,8 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
     svb.add_argument(
         "--batch-window",
         type=float,
-        default=0.010,
-        help="self-hosted server's coalescing window (ignored with --attach)",
+        default=0.0,
+        help="seconds the self-hosted server holds each batch open for more "
+        "queries (default 0: group commit; ignored with --attach)",
     )
     svb.add_argument(
         "--max-pending",

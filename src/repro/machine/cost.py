@@ -226,6 +226,9 @@ class CostCounter:
         self.write_cost = 0.0
         #: The open phase path, outermost name first.
         self.path: Tuple[str, ...] = ()
+        #: How many times :meth:`reset` has zeroed the counter; a reader
+        #: holding an earlier reading knows it no longer applies.
+        self.epoch = 0
         # path -> [reads, writes, read_cost, write_cost, touches]
         self._paths: Dict[Tuple[str, ...], list] = {}
         self._bucket = self._open(())
@@ -360,7 +363,9 @@ class CostCounter:
         )
 
     def reset(self) -> None:
-        """Zero every counter; phases still open restart from zero."""
+        """Zero every counter and start a new :attr:`epoch`; phases still
+        open restart from zero."""
+        self.epoch += 1
         self.reads = 0
         self.writes = 0
         self.touches = 0

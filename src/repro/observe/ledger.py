@@ -10,7 +10,9 @@ own.
 
 A readout may watch several machines, and may attach mid-run. For each
 machine it records the ledger, and the table and totals as they stood at
-attach; it reports what was added since (its *window*). When it is
+attach; it reports what was added since (its *window*). A
+:meth:`~repro.machine.cost.CostCounter.reset` after attach starts the
+window again from the empty table. When it is
 detached, or its machine is gone, the window is folded into plain totals
 and the ledger dropped, so a readout shared by many short-lived machines
 keeps no finished machine's ledger. A gone machine is folded at the next
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import weakref
 
-from ..machine.cost import CostCounter, CostRecord, Paths
+from ..machine.cost import CostCounter, CostRecord, CostSnapshot, Paths
 from .base import MachineObserver
 
 _NOTHING = CostRecord(Q=0, Qr=0, Qw=0, T=0, peak_mem=0)
@@ -46,19 +48,32 @@ def _add_records(a: CostRecord, b: CostRecord) -> CostRecord:
 
 
 class _Window:
-    """One watched machine: its ledger, and what that held at attach."""
+    """One watched machine: its ledger, and what that held at attach (or
+    nothing, once the ledger has been reset since)."""
 
-    __slots__ = ("core", "ledger", "mem", "base", "base_totals")
+    __slots__ = ("core", "ledger", "mem", "epoch", "base", "base_totals")
 
     def __init__(self, core):
         self.core = weakref.ref(core)
         self.ledger: CostCounter = core.counter
         self.mem = core.mem
+        self.epoch = self.ledger.epoch
         self.base = self.ledger.paths()
         self.base_totals = self.ledger.snapshot()
 
+    def _rebase(self) -> None:
+        """After a reset of the ledger, start over from its empty table."""
+        ledger = self.ledger
+        if ledger.epoch != self.epoch:
+            self.epoch = ledger.epoch
+            self.base = {}
+            self.base_totals = CostSnapshot(
+                reads=0, writes=0, touches=0, omega=ledger.omega
+            )
+
     def paths(self) -> Paths:
-        """The table since attach."""
+        """The table since attach (or since the last reset)."""
+        self._rebase()
         base = self.base
         return {
             path: stats - base[path] if path in base else stats
@@ -66,7 +81,9 @@ class _Window:
         }
 
     def totals(self) -> CostRecord:
-        """The ledger's totals since attach, with the machine's peak."""
+        """The ledger's totals since attach (or since the last reset), with
+        the machine's peak."""
+        self._rebase()
         spent = self.ledger.snapshot() - self.base_totals
         return CostRecord.from_snapshot(spent, peak=self.mem.peak)
 

@@ -6,10 +6,13 @@ and answers HTTP/JSON cost queries by routing them through the
 rule AEM108 enforces that structurally). Three serving mechanisms sit
 between the socket and the engine:
 
-* **batching** — admitted queries buffer for a ``batch_window``-second
-  coalescing window (up to ``max_batch``) and dispatch as *one*
-  :func:`repro.api.sweep` call, so a burst of arrivals costs one pass
-  over the engine instead of one engine entry per request;
+* **batching** — group commit: as soon as the engine is free, every
+  admitted query waiting for it (up to ``max_batch``) dispatches as
+  *one* :func:`repro.api.sweep` call, and queries that arrive during
+  that call form the next batch. A burst of arrivals costs one pass
+  over the engine instead of one engine entry per request, and an idle
+  engine takes a lone query at once. A positive ``batch_window`` holds
+  each batch open that many seconds for more companions;
 * **deduplication** — queries are identified by
   :func:`repro.api.query_key` (the same content hash the result cache
   files measurements under). A query identical to one already in flight
@@ -73,8 +76,11 @@ class ServeConfig:
         Listen address; ``port=0`` binds an ephemeral port (read it back
         from :attr:`CostServer.port` — the test harness does).
     batch_window:
-        Seconds an admitted query waits for companions before its batch
-        dispatches. ``0`` still coalesces whatever is already queued.
+        Seconds a batch is held open for more companions before it
+        dispatches. ``0`` (the default) is plain group commit: the batch
+        is whatever is queued when the engine comes free, dispatched at
+        once. A positive window holds it until ``max_batch`` queries
+        have joined or the window ends.
     max_batch:
         Hard cap on queries per engine dispatch.
     max_pending:
@@ -99,7 +105,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8177
-    batch_window: float = 0.010
+    batch_window: float = 0.0
     max_batch: int = 64
     max_pending: int = 256
     request_timeout: float = 60.0
@@ -353,23 +359,32 @@ class CostServer:
         return keyed, len({key for _, key in keyed} - self._inflight.keys())
 
     async def _batch_loop(self) -> None:
+        """Group commit: each batch is the first waiting query plus what is
+        queued behind it (up to ``max_batch``), dispatched as soon as the
+        engine is free; queries that arrive during an engine call form the
+        next batch. A positive ``batch_window`` also holds the batch open
+        that long for more companions."""
         cfg = self.config
         loop = asyncio.get_running_loop()
+        queue = self._queue
         stopping = False
         while not stopping:
-            task = await self._queue.get()
+            task = await queue.get()
             if task is _STOP:
                 break
             batch = [task]
             deadline = loop.time() + cfg.batch_window
             while len(batch) < cfg.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+                if not queue.empty():
+                    nxt = queue.get_nowait()
+                else:
+                    remaining = deadline - loop.time()
+                    if remaining <= 0:
+                        break
+                    try:
+                        nxt = await asyncio.wait_for(queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
                 if nxt is _STOP:
                     stopping = True
                     break

@@ -487,6 +487,27 @@ class TestMachineCore:
         }
         assert sanitizer.ok, sanitizer.violations
 
+    def test_a_reset_after_attach_restarts_the_readout(self):
+        from repro.machine.blockstore import BlockStore
+        from repro.machine.cost import PathStats
+        from repro.machine.internal import InternalMemory
+        from repro.telemetry import CostProfiler
+
+        core = MachineCore(BlockStore(4), InternalMemory(16))
+        (addr,) = core.disk.load_items([1, 2, 3])
+        for _ in range(4):
+            core.release(core.read_block(addr))
+        core.acquire(2)
+        core.write_block(addr, [7, 8])
+        prof = core.attach(CostProfiler())
+        core.counter.reset()
+        core.release(core.read_block(addr))
+        ledger, snap = prof.ledger(), core.counter.snapshot()
+        assert (ledger.Q, ledger.Qr, ledger.Qw) == (1, 1, 0)
+        assert (ledger.Q, ledger.Qr, ledger.Qw) == (snap.Q, snap.reads, snap.writes)
+        assert prof.paths() == {(): PathStats(1, 0, 1.0, 0.0, 0)}
+        assert prof.conservation_errors() == []
+
     def test_sanitizer_flags_a_tampered_bare_core_ledger(self):
         core, _prof, _metrics, sanitizer = self._driven_bare_core()
         core.counter.reads += 1  # cook the books

@@ -1,15 +1,18 @@
 """The cost-oracle server: dedup, batching, backpressure, drain, parity.
 
-The PR-7 acceptance surface: N identical concurrent queries cost exactly
-one engine evaluation; batch coalescing preserves per-request results;
-saturation answers 429 with Retry-After; shutdown drains cleanly (both
-the in-process path and the real SIGTERM path); and every served answer
-is bit-for-bit the direct ``repro.api.evaluate`` result.
+The acceptance surface: N identical concurrent queries cost exactly one
+engine evaluation; batch coalescing preserves per-request results;
+queries that queue during an engine call dispatch together as the next
+batch (group commit); saturation answers 429 with Retry-After; shutdown
+drains cleanly (the in-process path and the real SIGTERM path, also with
+a query held in a batch window); and every served answer is bit-for-bit
+the direct ``repro.api.evaluate`` result.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import os
 import signal
@@ -35,9 +38,47 @@ QUERY = {"workload": "sort", "n": 512, "M": 64, "B": 8, "omega": 4}
 
 
 def serve_config(**overrides) -> ServeConfig:
-    defaults = dict(port=0, counting=True, batch_window=0.05)
+    defaults = dict(port=0, counting=True)
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+def _wait_until_inflight(host: str, port: int, n: int) -> None:
+    """Poll ``/stats`` until ``n`` unique queries are in flight."""
+    import repro.serve.http as http
+
+    deadline = time.time() + 10
+    while time.time() < deadline:
+        if http.request(host, port, "GET", "/stats").json()["inflight"] >= n:
+            return
+        time.sleep(0.005)
+    pytest.fail(f"{n} queries never became in-flight")
+
+
+@contextlib.contextmanager
+def _cli_server(*flags: str):
+    """Run ``repro-aem serve`` on an ephemeral port with ``flags``.
+
+    Yields the process and the port its startup line names. On exit a
+    process still running is killed, and its stderr pipe is closed.
+    """
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port", "0", "--counting", "--no-cache", *flags,
+        ],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as proc:
+        try:
+            line = proc.stderr.readline()
+            assert "listening on" in line
+            yield proc, int(line.split("http://127.0.0.1:")[1].split(" ")[0])
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +276,56 @@ class TestDedupAndBatching:
 
 
 # ----------------------------------------------------------------------
+# Group commit: a batch dispatches as soon as the engine is free.
+# ----------------------------------------------------------------------
+class TestGroupCommit:
+    def test_zero_window_dispatches_a_multi_query_request_as_one_batch(self):
+        with ServerThread(serve_config(batch_window=0)) as srv:
+            queries = [{**QUERY, "n": n} for n in (200, 208, 216, 224)]
+            resp = srv.post("/evaluate", {"queries": queries})
+            assert resp.status == 200
+            requests = srv.get("/stats").json()["requests"]
+        assert requests["batches"] == 1
+        assert (requests["batch_size"]["count"], requests["batch_size"]["max"]) == (1, 4)
+
+    def test_queries_arriving_during_an_engine_call_form_the_next_batch(
+        self, monkeypatch
+    ):
+        sizes = []
+        entered, release = threading.Event(), threading.Event()
+        sweep = api.sweep
+
+        def held_sweep(queries, **kwargs):
+            sizes.append(len(queries))
+            if len(sizes) == 1:
+                entered.set()
+                release.wait(timeout=30)
+            return sweep(queries, **kwargs)
+
+        monkeypatch.setattr(api, "sweep", held_sweep)
+        queries = [{**QUERY, "n": n} for n in (232, 240, 248, 256)]
+        with ServerThread(serve_config(batch_window=0)) as srv:
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
+                try:
+                    futures = [pool.submit(srv.post, "/evaluate", queries[0])]
+                    assert entered.wait(timeout=30), "no batch reached the engine"
+                    futures += [
+                        pool.submit(srv.post, "/evaluate", q) for q in queries[1:]
+                    ]
+                    _wait_until_inflight(srv.host, srv.port, len(queries))
+                finally:
+                    release.set()
+                responses = [f.result(timeout=60) for f in futures]
+            batches = srv.get("/stats").json()["requests"]["batches"]
+        assert sizes == [1, 3]
+        assert batches == 2
+        assert [r.status for r in responses] == [200] * len(queries)
+        for resp, query in zip(responses, queries):
+            direct = api.evaluate("sort", query, counting=True)
+            assert resp.json()["result"] == json.loads(json.dumps(dict(direct)))
+
+
+# ----------------------------------------------------------------------
 # Backpressure + timeouts.
 # ----------------------------------------------------------------------
 class TestBackpressure:
@@ -250,13 +341,7 @@ class TestBackpressure:
 
             t = threading.Thread(target=first)
             t.start()
-            deadline = time.time() + 5
-            while time.time() < deadline:
-                if srv.get("/stats").json()["inflight"] >= 1:
-                    break
-                time.sleep(0.005)
-            else:
-                pytest.fail("first query never became in-flight")
+            _wait_until_inflight(srv.host, srv.port, 1)
             resp = srv.post("/evaluate", {**QUERY, "n": 999})
             assert resp.status == 429
             assert resp.headers["retry-after"] == "7"
@@ -290,11 +375,7 @@ class TestDrain:
 
         t = threading.Thread(target=post)
         t.start()
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            if srv.get("/stats").json()["inflight"] >= 1:
-                break
-            time.sleep(0.005)
+        _wait_until_inflight(srv.host, srv.port, 1)
         srv.stop()  # drain starts while the query sits in its batch window
         t.join(timeout=60)
         assert [r.status for r in results] == [200]
@@ -302,35 +383,37 @@ class TestDrain:
             socket.create_connection((srv.host, srv.port), timeout=0.5)
 
     def test_sigterm_drains_the_cli_server(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"}
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--counting", "--no-cache",
-                "--telemetry-dir", str(tmp_path),
-            ],
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        try:
-            line = proc.stderr.readline()
-            assert "listening on" in line
-            port = int(line.split("http://127.0.0.1:")[1].split(" ")[0])
-            import repro.serve.http as http
+        import repro.serve.http as http
 
+        with _cli_server("--telemetry-dir", str(tmp_path)) as (proc, port):
             assert http.request("127.0.0.1", port, "GET", "/healthz").status == 200
             proc.send_signal(signal.SIGTERM)
             out = proc.stderr.read()
             assert proc.wait(timeout=30) == 0
             assert "drained" in out
-        finally:
-            if proc.poll() is None:
-                proc.kill()
         # The drain flushed serving telemetry: a trace + a manifest line.
         assert (tmp_path / "trace.json").exists()
         record = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
         assert record["command"] == "serve"
+
+    def test_sigterm_while_a_query_is_held_answers_it(self):
+        import repro.serve.http as http
+
+        with _cli_server("--batch-window", "0.5") as (proc, port):
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                pending = pool.submit(
+                    http.request, "127.0.0.1", port, "POST", "/evaluate", QUERY,
+                    timeout=30,
+                )
+                _wait_until_inflight("127.0.0.1", port, 1)
+                proc.send_signal(signal.SIGTERM)  # the query sits in its window
+                resp = pending.result(timeout=60)
+            assert proc.wait(timeout=30) == 0
+            out = proc.stderr.read()
+        assert resp.status == 200
+        direct = api.evaluate("sort", QUERY, counting=True)
+        assert resp.json()["result"] == json.loads(json.dumps(dict(direct)))
+        assert "drained" in out
 
 
 # ----------------------------------------------------------------------
