@@ -80,9 +80,6 @@ class CostObserver(MachineObserver):
     def snapshot(self) -> CostSnapshot:
         return self.counter.snapshot()
 
-    def reset(self) -> None:
-        self.counter.reset()
-
     def describe(self) -> str:
         return self.counter.describe()
 

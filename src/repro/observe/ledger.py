@@ -8,11 +8,15 @@ profiler, the metrics observer, the progress line — read that table
 through :class:`LedgerReadout` instead of keeping phase stacks of their
 own.
 
-A readout may watch several machines, and may attach mid-run. For each
-machine it records the ledger, and the table and totals as they stood at
-attach; it reports what was added since (its *window*). A
+A :class:`LedgerWindow` is the one rule for "what the ledger charged
+since I attached": it records the ledger, and the table and totals as
+they stood at attach, and reports what was added since. A
 :meth:`~repro.machine.cost.CostCounter.reset` after attach starts the
-window again from the empty table. When it is
+window again from the empty table. The readouts and
+:class:`~repro.telemetry.spans.SpanPhaseRecorder` measure through one.
+
+A readout may watch several machines, and may attach mid-run; it keeps
+one window per machine. When it is
 detached, or its machine is gone, the window is folded into plain totals
 and the ledger dropped, so a readout shared by many short-lived machines
 keeps no finished machine's ledger. A gone machine is folded at the next
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import weakref
 
-from ..machine.cost import CostCounter, CostRecord, CostSnapshot, Paths
+from ..machine.cost import CostCounter, CostRecord, CostSnapshot, Paths, PathStats
 from .base import MachineObserver
 
 _NOTHING = CostRecord(Q=0, Qr=0, Qw=0, T=0, peak_mem=0)
@@ -47,7 +51,14 @@ def _add_records(a: CostRecord, b: CostRecord) -> CostRecord:
     )
 
 
-class _Window:
+def _ledger_totals(ledger: CostCounter) -> PathStats:
+    return PathStats(
+        ledger.reads, ledger.writes, ledger.read_cost, ledger.write_cost,
+        ledger.touches,
+    )
+
+
+class LedgerWindow:
     """One watched machine: its ledger, and what that held at attach (or
     nothing, once the ledger has been reset since)."""
 
@@ -59,7 +70,7 @@ class _Window:
         self.mem = core.mem
         self.epoch = self.ledger.epoch
         self.base = self.ledger.paths()
-        self.base_totals = self.ledger.snapshot()
+        self.base_totals = _ledger_totals(self.ledger)
 
     def _rebase(self) -> None:
         """After a reset of the ledger, start over from its empty table."""
@@ -67,9 +78,7 @@ class _Window:
         if ledger.epoch != self.epoch:
             self.epoch = ledger.epoch
             self.base = {}
-            self.base_totals = CostSnapshot(
-                reads=0, writes=0, touches=0, omega=ledger.omega
-            )
+            self.base_totals = PathStats()
 
     def paths(self) -> Paths:
         """The table since attach (or since the last reset)."""
@@ -80,12 +89,19 @@ class _Window:
             for path, stats in self.ledger.paths().items()
         }
 
-    def totals(self) -> CostRecord:
-        """The ledger's totals since attach (or since the last reset), with
-        the machine's peak."""
+    def spent(self) -> PathStats:
+        """The ledger's totals since attach (or since the last reset)."""
         self._rebase()
-        spent = self.ledger.snapshot() - self.base_totals
-        return CostRecord.from_snapshot(spent, peak=self.mem.peak)
+        return _ledger_totals(self.ledger) - self.base_totals
+
+    def totals(self) -> CostRecord:
+        """:meth:`spent` as a cost record, with the machine's peak."""
+        spent = self.spent()
+        snap = CostSnapshot(
+            reads=spent.reads, writes=spent.writes, touches=spent.touches,
+            omega=self.ledger.omega,
+        )
+        return CostRecord.from_snapshot(snap, peak=self.mem.peak)
 
 
 class LedgerReadout(MachineObserver):
@@ -93,14 +109,14 @@ class LedgerReadout(MachineObserver):
     are attached to; see the module doc."""
 
     def __init__(self) -> None:
-        self._windows: list[_Window] = []
+        self._windows: list[LedgerWindow] = []
         self._folded: Paths = {}
         self._folded_totals = _NOTHING
 
     def on_attach(self, core) -> None:
         super().on_attach(core)
         self._live()
-        self._windows.append(_Window(core))
+        self._windows.append(LedgerWindow(core))
 
     def on_detach(self, core) -> None:
         super().on_detach(core)
@@ -109,12 +125,12 @@ class LedgerReadout(MachineObserver):
                 self._fold(window)
                 break
 
-    def _fold(self, window: _Window) -> None:
+    def _fold(self, window: LedgerWindow) -> None:
         self._windows.remove(window)
         _add_paths(self._folded, window.paths())
         self._folded_totals = _add_records(self._folded_totals, window.totals())
 
-    def _live(self) -> list[_Window]:
+    def _live(self) -> list[LedgerWindow]:
         """The windows of machines still alive, after folding the rest."""
         for window in [w for w in self._windows if w.core() is None]:
             self._fold(window)

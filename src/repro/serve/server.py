@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -80,7 +81,9 @@ class ServeConfig:
         dispatches. ``0`` (the default) is plain group commit: the batch
         is whatever is queued when the engine comes free, dispatched at
         once. A positive window holds it until ``max_batch`` queries
-        have joined or the window ends.
+        have joined or the window ends. Holding lets more identical
+        queries share one evaluation, which pays only when the result
+        cache is off and arrivals outrun the engine (docs/serving.md).
     max_batch:
         Hard cap on queries per engine dispatch.
     max_pending:
@@ -188,6 +191,7 @@ class CostServer:
             "serve_inflight", "unique queries currently in flight"
         )
         self.engine: Optional[SweepEngine] = None
+        self._engine_thread: Optional[ThreadPoolExecutor] = None
         self._tracer: Optional[ChromeTraceBuilder] = None
         self._engine_tel: Optional[EngineTelemetry] = None
         self._collector: Optional[SpanCollector] = None
@@ -213,6 +217,11 @@ class CostServer:
         cfg = self.config
         cache = ResultCache(cfg.cache_dir) if cfg.cache else None
         self.engine = SweepEngine(jobs=cfg.jobs, cache=cache, counting=False)
+        # Dispatches are serial (the batch loop awaits each), so one
+        # thread carries every engine call off the event loop.
+        self._engine_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-engine"
+        )
         self._t0 = time.perf_counter()
         self._started_at = time.time()
         if cfg.telemetry_dir:
@@ -262,6 +271,8 @@ class CostServer:
         if self._collector is not None:
             set_collector(None)
             self._collector = None
+        if self._engine_thread is not None:
+            self._engine_thread.shutdown()
         if self.engine is not None:
             self.engine.close()
         self._closed.set()
@@ -403,7 +414,8 @@ class CostServer:
         engine = self.engine
         try:
             results = await loop.run_in_executor(
-                None, lambda: api.sweep(queries, engine=engine, spans=spans)
+                self._engine_thread,
+                lambda: api.sweep(queries, engine=engine, spans=spans),
             )
         except Exception as exc:
             done = self._now()

@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..machine.core import install_span_observer_factory
-from ..machine.cost import CostCounter
+from ..machine.cost import PathStats
 from ..observe.base import MachineObserver
+from ..observe.ledger import LedgerWindow
 from .perfetto import MACHINE_PID, ChromeTraceBuilder
 
 #: Category stamped on every flow event a span chain emits; the flow
@@ -158,28 +159,27 @@ class SpanPhaseRecorder(MachineObserver):
     timeline uses the machine's logical clock, one tick per I/O: each
     ``B``/``E`` mark is stamped with the I/O count of the core's cost
     ledger since attach, and the exported totals are the ledger's
-    deltas since attach. It handles no I/O events itself.
+    deltas since attach, both read through a
+    :class:`~repro.observe.ledger.LedgerWindow` (so a ledger reset
+    restarts them, as it does every readout). It handles no I/O events
+    itself.
     """
 
     def __init__(self, span: SpanContext):
         self.span = span
         self.wall_start = time.perf_counter()
         self.timeline: list[tuple] = []  # ("B"|"E", phase name, tick)
-        self._ledger: Optional[CostCounter] = None
-        self._base = (0, 0, 0.0, 0.0)
+        self._window: Optional[LedgerWindow] = None
 
     def on_attach(self, core) -> None:
         super().on_attach(core)
-        ledger = self._ledger = core.counter
-        self._base = (ledger.reads, ledger.writes, ledger.read_cost, ledger.write_cost)
+        self._window = LedgerWindow(core)
 
     @property
     def clock(self) -> int:
         """The logical clock: I/Os since attach."""
-        ledger = self._ledger
-        if ledger is None:
-            return 0
-        return ledger.reads + ledger.writes - self._base[0] - self._base[1]
+        window = self._window
+        return 0 if window is None else window.spent().io
 
     def on_phase_enter(self, name: str) -> None:
         self.timeline.append(("B", name, self.clock))
@@ -189,21 +189,16 @@ class SpanPhaseRecorder(MachineObserver):
 
     def export(self) -> dict:
         """The segment as a plain picklable dict."""
-        ledger = self._ledger
-        reads, writes, read_cost, write_cost = self._base
-        if ledger is not None:
-            reads = ledger.reads - reads
-            writes = ledger.writes - writes
-            read_cost = ledger.read_cost - read_cost
-            write_cost = ledger.write_cost - write_cost
+        window = self._window
+        spent = PathStats() if window is None else window.spent()
         return {
             "span": self.span.as_dict(),
             "wall_start": self.wall_start,
-            "io": reads + writes,
-            "reads": reads,
-            "writes": writes,
-            "read_cost": read_cost,
-            "write_cost": write_cost,
+            "io": spent.io,
+            "reads": spent.reads,
+            "writes": spent.writes,
+            "read_cost": spent.read_cost,
+            "write_cost": spent.write_cost,
             "timeline": list(self.timeline),
         }
 

@@ -508,6 +508,26 @@ class TestMachineCore:
         assert prof.paths() == {(): PathStats(1, 0, 1.0, 0.0, 0)}
         assert prof.conservation_errors() == []
 
+    def test_a_reset_after_attach_restarts_the_span_clock(self):
+        from repro.machine.blockstore import BlockStore
+        from repro.machine.internal import InternalMemory
+        from repro.telemetry import CostProfiler
+        from repro.telemetry.spans import SpanContext, SpanPhaseRecorder
+
+        core = MachineCore(BlockStore(4), InternalMemory(16))
+        (addr,) = core.disk.load_items([1, 2, 3])
+        for _ in range(4):
+            core.release(core.read_block(addr))
+        prof = core.attach(CostProfiler())
+        recorder = core.attach(SpanPhaseRecorder(SpanContext.root()))
+        core.counter.reset()
+        core.release(core.read_block(addr))
+        ledger, seg = prof.ledger(), recorder.export()
+        assert recorder.clock == 1
+        assert (seg["io"], seg["reads"], seg["writes"]) == (1, 1, 0)
+        assert (seg["read_cost"], seg["write_cost"]) == (1.0, 0.0)
+        assert (seg["reads"], seg["writes"]) == (ledger.Qr, ledger.Qw)
+
     def test_sanitizer_flags_a_tampered_bare_core_ledger(self):
         core, _prof, _metrics, sanitizer = self._driven_bare_core()
         core.counter.reads += 1  # cook the books

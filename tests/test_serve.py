@@ -324,6 +324,28 @@ class TestGroupCommit:
             direct = api.evaluate("sort", query, counting=True)
             assert resp.json()["result"] == json.loads(json.dumps(dict(direct)))
 
+    def test_engine_calls_run_on_one_server_thread(self, monkeypatch):
+        threads = []
+        sweep = api.sweep
+
+        def recording_sweep(queries, **kwargs):
+            threads.append(threading.current_thread())
+            return sweep(queries, **kwargs)
+
+        monkeypatch.setattr(api, "sweep", recording_sweep)
+        queries = [{**QUERY, "n": n} for n in (264, 272, 280, 288)]
+        with ServerThread(serve_config()) as srv:
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
+                statuses = [
+                    r.status for r in pool.map(
+                        lambda q: srv.post("/evaluate", q), queries
+                    )
+                ]
+        assert statuses == [200] * len(queries)
+        assert len(threads) >= 1 and len(set(threads)) == 1
+        assert threads[0].name.startswith("repro-serve-engine")
+        assert not threads[0].is_alive(), "the engine thread outlived the drain"
+
 
 # ----------------------------------------------------------------------
 # Backpressure + timeouts.
