@@ -2,18 +2,21 @@
 """CI smoke for the cost-oracle serving layer.
 
 Boots a real server (ephemeral port, counting mode), then asserts the
-PR-7 acceptance surface end to end:
+serving layer's acceptance surface end to end:
 
 1. every served answer is bit-for-bit the direct ``repro.api.evaluate``
    result (same CostRecord fields, same values);
 2. identical concurrent queries dedup to exactly one engine evaluation
-   (dedup counters nonzero, executed == unique configs);
+   (dedup counters nonzero, executed == unique configs); the engine is
+   held (:class:`repro.serve.testing.EngineHold`) until every request
+   is in flight, so the count does not depend on thread timing;
 3. the bundled load generator reports latency percentiles and a nonzero
    dedup hit-rate under bursty zipfian traffic;
 4. the drain path leaves the engine stats consistent (requests served ==
    dedup hits + engine measurements);
 5. malformed traffic (a body cut short, a ``Content-Length: 1_0``) gets
-   a 400, leaves the server healthy, and is counted in ``/metrics``.
+   a 400, leaves the server healthy, and is counted in ``/metrics``; so
+   does a body that is valid JSON but not a query object.
 
 Run as ``PYTHONPATH=src python scripts/serve_smoke.py``. Exits non-zero
 on any violation.
@@ -25,9 +28,11 @@ import concurrent.futures
 import json
 import socket
 import sys
+import time
 
 from repro import api
 from repro.serve import BenchConfig, ServeConfig, ServerThread, render_report, run_bench
+from repro.serve.testing import EngineHold
 
 QUERIES = [
     {"workload": "sort", "n": 512, "M": 64, "B": 8, "omega": 4},
@@ -50,17 +55,31 @@ def fail(msg: str) -> None:
     raise SystemExit(1)
 
 
+def _wait_until_admitted(srv: ServerThread, n: int) -> None:
+    """Poll ``/stats`` until ``n`` requests are in flight or deduped onto
+    one that is."""
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        stats = srv.get("/stats").json()
+        if stats["inflight"] + stats["requests"]["dedup_hits"] >= n:
+            return
+        time.sleep(0.005)
+    fail(f"{n} requests were never all admitted")
+
+
 def check_parity_and_dedup() -> None:
     fanout = 8
-    with ServerThread(
-        ServeConfig(port=0, counting=True, batch_window=0.05)
-    ) as srv:
-        with concurrent.futures.ThreadPoolExecutor(fanout * len(QUERIES)) as pool:
+    requests = fanout * len(QUERIES)
+    with ServerThread(ServeConfig(port=0, counting=True)) as srv:
+        with concurrent.futures.ThreadPoolExecutor(requests) as pool, \
+                EngineHold() as hold:
             futures = [
                 pool.submit(srv.post, "/evaluate", q)
                 for q in QUERIES
                 for _ in range(fanout)
             ]
+            _wait_until_admitted(srv, requests)
+            hold.release()
             responses = [f.result() for f in futures]
         statuses = sorted({r.status for r in responses})
         if statuses != [200]:
@@ -87,9 +106,9 @@ def check_parity_and_dedup() -> None:
 
     # 4. request accounting balances.
     served = dedup + stats["engine"]["measurements"]
-    if served < fanout * len(QUERIES):
+    if served < requests:
         fail(f"accounting leak: dedup+measurements={served} < "
-             f"{fanout * len(QUERIES)} evaluate requests")
+             f"{requests} evaluate requests")
     print(
         f"parity+dedup OK: {executed} executed, {dedup} dedup hit(s), "
         f"batches={stats['requests']['batches']}"
@@ -97,9 +116,7 @@ def check_parity_and_dedup() -> None:
 
 
 def check_bench() -> None:
-    with ServerThread(
-        ServeConfig(port=0, counting=True, batch_window=0.02)
-    ) as srv:
+    with ServerThread(ServeConfig(port=0, counting=True)) as srv:
         report = run_bench(
             BenchConfig(
                 host=srv.host,
@@ -144,10 +161,17 @@ def check_search() -> None:
 
 #: Requests the server must answer 400, each on its own connection: a
 #: body closed after 7 of its 100 declared bytes, and a Content-Length
-#: that only ``int()`` would accept.
+#: that only ``int()`` would accept. Neither has a route to count under.
 MALFORMED = (
     b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sort\"",
     b"POST /evaluate HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n{}",
+)
+
+#: Well-formed requests whose JSON body is not a query object: a 400
+#: counted under ``/evaluate``.
+NOT_OBJECTS = (
+    b"POST /evaluate HTTP/1.1\r\nContent-Length: 6\r\n\r\n[1, 2]",
+    b"POST /evaluate HTTP/1.1\r\nContent-Length: 4\r\n\r\nnull",
 )
 
 
@@ -164,7 +188,7 @@ def _raw_exchange(srv: ServerThread, raw: bytes) -> bytes:
 
 def check_malformed() -> None:
     with ServerThread(ServeConfig(port=0, counting=True)) as srv:
-        for raw in MALFORMED:
+        for raw in MALFORMED + NOT_OBJECTS:
             status_line = _raw_exchange(srv, raw).split(b"\r\n", 1)[0]
             if status_line.split(b" ")[1:2] != [b"400"]:
                 fail(f"malformed request {raw!r} got {status_line!r}, not a 400")
@@ -172,15 +196,17 @@ def check_malformed() -> None:
         if health.status != 200 or not health.json().get("ok"):
             fail(f"server unhealthy after malformed traffic: {health.status}")
         series = srv.get("/metrics").json()["serve_requests_total"]["series"]
-    counted = sum(
-        s["value"]
-        for s in series
-        if s["labels"] == {"endpoint": "-", "status": "400"}
-    )
-    if counted != len(MALFORMED):
-        fail(f'serve_requests_total{{endpoint="-",status="400"}} is {counted}, '
-             f"expected {len(MALFORMED)}")
-    print(f"malformed traffic OK: {len(MALFORMED)} x 400, counted, server healthy")
+    for endpoint, sent in (("-", MALFORMED), ("/evaluate", NOT_OBJECTS)):
+        counted = sum(
+            s["value"]
+            for s in series
+            if s["labels"] == {"endpoint": endpoint, "status": "400"}
+        )
+        if counted != len(sent):
+            fail(f'serve_requests_total{{endpoint="{endpoint}",status="400"}} '
+                 f"is {counted}, expected {len(sent)}")
+    print(f"malformed traffic OK: {len(MALFORMED) + len(NOT_OBJECTS)} x 400, "
+          f"counted, server healthy")
 
 
 def main() -> int:

@@ -566,14 +566,9 @@ async def _serve_until_drained(config) -> int:
             loop.add_signal_handler(sig, _drain)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass  # platforms/loops without signal support: ctrl-C still lands
-    batching = (
-        f"batch window {config.batch_window * 1e3:g}ms"
-        if config.batch_window > 0
-        else "group commit"
-    )
     print(
         f"repro-aem serve: listening on http://{config.host}:{server.port} "
-        f"({batching}, max pending {config.max_pending}); SIGINT/SIGTERM drains",
+        f"(group commit, max pending {config.max_pending}); SIGINT/SIGTERM drains",
         file=sys.stderr,
     )
     await server.wait_closed()
@@ -590,8 +585,6 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         max_pending=args.max_pending,
         request_timeout=args.timeout,
         jobs=args.jobs,
@@ -628,7 +621,6 @@ def cmd_serve_bench(args) -> int:
         serve_config = ServeConfig(
             host="127.0.0.1",
             port=0,
-            batch_window=args.batch_window,
             max_pending=args.max_pending,
             jobs=args.jobs,
             cache=args.cache,
@@ -818,17 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=8177, help="0 = ephemeral")
     sv.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="seconds to hold each batch open for more queries (default 0: "
-        "group commit, everything queued dispatches as soon as the engine "
-        "is free)",
-    )
-    sv.add_argument(
-        "--max-batch", type=int, default=64, help="max queries per engine call"
-    )
-    sv.add_argument(
         "--max-pending",
         type=int,
         default=256,
@@ -889,13 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     svb.add_argument("--timeout", type=float, default=60.0)
     svb.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
-    )
-    svb.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="seconds the self-hosted server holds each batch open for more "
-        "queries (default 0: group commit; ignored with --attach)",
     )
     svb.add_argument(
         "--max-pending",

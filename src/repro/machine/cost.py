@@ -226,9 +226,6 @@ class CostCounter:
         self.write_cost = 0.0
         #: The open phase path, outermost name first.
         self.path: Tuple[str, ...] = ()
-        #: How many times :meth:`reset` has zeroed the counter; a reader
-        #: holding an earlier reading knows it no longer applies.
-        self.epoch = 0
         # path -> [reads, writes, read_cost, write_cost, touches]
         self._paths: Dict[Tuple[str, ...], list] = {}
         self._bucket = self._open(())
@@ -361,19 +358,6 @@ class CostCounter:
             touches=self.touches,
             omega=self.omega,
         )
-
-    def reset(self) -> None:
-        """Zero every counter and start a new :attr:`epoch`; phases still
-        open restart from zero."""
-        self.epoch += 1
-        self.reads = 0
-        self.writes = 0
-        self.touches = 0
-        self.read_cost = 0.0
-        self.write_cost = 0.0
-        self._paths.clear()
-        for depth in range(len(self.path) + 1):
-            self._bucket = self._open(self.path[:depth])
 
     def describe(self) -> str:
         return self.snapshot().describe()

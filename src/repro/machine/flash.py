@@ -156,39 +156,23 @@ class FlashMachine:
         """Total I/O volume (elements transferred), the model's cost."""
         return self.read_volume + self.write_volume
 
-    # The accounting lives in the core's cost ledger; these properties
-    # keep the historical readout (and the tests' ability to zero it).
+    # The accounting lives in the core's cost ledger, which only the
+    # core writes; these read it under the flash model's names.
     @property
     def read_volume(self) -> int:
         return self.core.counter.read_cost
-
-    @read_volume.setter
-    def read_volume(self, value: int) -> None:
-        self.core.counter.read_cost = value
 
     @property
     def write_volume(self) -> int:
         return self.core.counter.write_cost
 
-    @write_volume.setter
-    def write_volume(self, value: int) -> None:
-        self.core.counter.write_cost = value
-
     @property
     def read_ops(self) -> int:
         return self.core.counter.reads
 
-    @read_ops.setter
-    def read_ops(self, value: int) -> None:
-        self.core.counter.reads = value
-
     @property
     def write_ops(self) -> int:
         return self.core.counter.writes
-
-    @write_ops.setter
-    def write_ops(self, value: int) -> None:
-        self.core.counter.writes = value
 
     # ------------------------------------------------------------------
     # I/O operations.

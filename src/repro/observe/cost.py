@@ -47,17 +47,9 @@ class CostObserver(MachineObserver):
     def read_cost(self) -> float:
         return self.counter.read_cost
 
-    @read_cost.setter
-    def read_cost(self, value: float) -> None:
-        self.counter.read_cost = value
-
     @property
     def write_cost(self) -> float:
         return self.counter.write_cost
-
-    @write_cost.setter
-    def write_cost(self, value: float) -> None:
-        self.counter.write_cost = value
 
     @property
     def reads(self) -> int:

@@ -10,10 +10,10 @@ own.
 
 A :class:`LedgerWindow` is the one rule for "what the ledger charged
 since I attached": it records the ledger, and the table and totals as
-they stood at attach, and reports what was added since. A
-:meth:`~repro.machine.cost.CostCounter.reset` after attach starts the
-window again from the empty table. The readouts and
-:class:`~repro.telemetry.spans.SpanPhaseRecorder` measure through one.
+they stood at attach, and reports what was added since. The ledger
+only grows (nothing resets it), so that difference is never negative.
+The readouts and :class:`~repro.telemetry.spans.SpanPhaseRecorder`
+measure through one.
 
 A readout may watch several machines, and may attach mid-run; it keeps
 one window per machine. When it is
@@ -59,30 +59,19 @@ def _ledger_totals(ledger: CostCounter) -> PathStats:
 
 
 class LedgerWindow:
-    """One watched machine: its ledger, and what that held at attach (or
-    nothing, once the ledger has been reset since)."""
+    """One watched machine: its ledger, and what that held at attach."""
 
-    __slots__ = ("core", "ledger", "mem", "epoch", "base", "base_totals")
+    __slots__ = ("core", "ledger", "mem", "base", "base_totals")
 
     def __init__(self, core):
         self.core = weakref.ref(core)
         self.ledger: CostCounter = core.counter
         self.mem = core.mem
-        self.epoch = self.ledger.epoch
         self.base = self.ledger.paths()
         self.base_totals = _ledger_totals(self.ledger)
 
-    def _rebase(self) -> None:
-        """After a reset of the ledger, start over from its empty table."""
-        ledger = self.ledger
-        if ledger.epoch != self.epoch:
-            self.epoch = ledger.epoch
-            self.base = {}
-            self.base_totals = PathStats()
-
     def paths(self) -> Paths:
-        """The table since attach (or since the last reset)."""
-        self._rebase()
+        """The table since attach."""
         base = self.base
         return {
             path: stats - base[path] if path in base else stats
@@ -90,8 +79,7 @@ class LedgerWindow:
         }
 
     def spent(self) -> PathStats:
-        """The ledger's totals since attach (or since the last reset)."""
-        self._rebase()
+        """The ledger's totals since attach."""
         return _ledger_totals(self.ledger) - self.base_totals
 
     def totals(self) -> CostRecord:

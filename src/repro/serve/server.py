@@ -7,12 +7,11 @@ rule AEM108 enforces that structurally). Three serving mechanisms sit
 between the socket and the engine:
 
 * **batching** — group commit: as soon as the engine is free, every
-  admitted query waiting for it (up to ``max_batch``) dispatches as
+  admitted query waiting for it (up to :data:`MAX_BATCH`) dispatches as
   *one* :func:`repro.api.sweep` call, and queries that arrive during
   that call form the next batch. A burst of arrivals costs one pass
   over the engine instead of one engine entry per request, and an idle
-  engine takes a lone query at once. A positive ``batch_window`` holds
-  each batch open that many seconds for more companions;
+  engine takes a lone query at once;
 * **deduplication** — queries are identified by
   :func:`repro.api.query_key` (the same content hash the result cache
   files measurements under). A query identical to one already in flight
@@ -21,15 +20,17 @@ between the socket and the engine:
   when caching is enabled;
 * **backpressure** — at most ``max_pending`` unique queries may be in
   flight; past that the server answers ``429`` with a ``Retry-After``
-  header instead of queueing without bound. Each request also carries a
-  ``request_timeout`` after which *it* gives up (``504``) while the
-  shared evaluation keeps running for whoever else wants it.
+  header (:data:`RETRY_AFTER_S`) instead of queueing without bound.
+  Each request also carries a ``request_timeout`` after which *it*
+  gives up (``504``) while the shared evaluation keeps running for
+  whoever else wants it.
 
 Shutdown is a graceful drain: stop accepting, finish every admitted
 query, answer every open connection, then flush telemetry (a Perfetto
-trace of the serving pipeline — admission → batch window → engine →
-respond spans per request — plus a manifest record) and release the
-engine. ``repro-aem serve`` wires SIGINT/SIGTERM to that drain.
+trace of the serving pipeline — admission → batch window (the wait for
+a free engine) → engine → respond spans per request — plus a manifest
+record) and release the engine. ``repro-aem serve`` wires SIGINT/SIGTERM
+to that drain.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ SERVE_PID = 3
 #: stays viewable; lanes are reused, spans never nest across requests.
 TRACE_LANES = 32
 
+#: Most queries one engine dispatch takes; the rest wait for the next.
+MAX_BATCH = 64
+
+#: Seconds a ``429`` answer's ``Retry-After`` header asks the client to wait.
+RETRY_AFTER_S = 1.0
+
 _STOP = object()
 
 
@@ -76,23 +83,11 @@ class ServeConfig:
     host, port:
         Listen address; ``port=0`` binds an ephemeral port (read it back
         from :attr:`CostServer.port` — the test harness does).
-    batch_window:
-        Seconds a batch is held open for more companions before it
-        dispatches. ``0`` (the default) is plain group commit: the batch
-        is whatever is queued when the engine comes free, dispatched at
-        once. A positive window holds it until ``max_batch`` queries
-        have joined or the window ends. Holding lets more identical
-        queries share one evaluation, which pays only when the result
-        cache is off and arrivals outrun the engine (docs/serving.md).
-    max_batch:
-        Hard cap on queries per engine dispatch.
     max_pending:
         Bound on unique in-flight queries; beyond it new work gets 429.
     request_timeout:
         Per-request seconds before the *request* gives up with 504 (the
         shared evaluation keeps running for its other waiters).
-    retry_after:
-        Seconds advertised in the 429 ``Retry-After`` header.
     jobs, cache, cache_dir, counting:
         The engine policy, same meaning as
         :class:`~repro.engine.config.ExperimentConfig`: worker fan-out,
@@ -104,15 +99,15 @@ class ServeConfig:
         the engine's task lanes, and every machine run's phase spans as
         one flow-linked Perfetto trace — and appends a manifest record
         (including the served trace ids) there.
+
+    Batching has no settings: a batch is what waits when the engine
+    comes free, up to :data:`MAX_BATCH` queries.
     """
 
     host: str = "127.0.0.1"
     port: int = 8177
-    batch_window: float = 0.0
-    max_batch: int = 64
     max_pending: int = 256
     request_timeout: float = 60.0
-    retry_after: float = 1.0
     jobs: int = 1
     cache: bool = False
     cache_dir: str = field(default_factory=default_cache_dir)
@@ -120,10 +115,6 @@ class ServeConfig:
     telemetry_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
 
@@ -298,8 +289,6 @@ class CostServer:
                 config={
                     "host": cfg.host,
                     "port": cfg.port,
-                    "batch_window": cfg.batch_window,
-                    "max_batch": cfg.max_batch,
                     "max_pending": cfg.max_pending,
                     "jobs": cfg.jobs,
                     "cache": cfg.cache,
@@ -320,8 +309,14 @@ class CostServer:
     # ------------------------------------------------------------------
     # Admission + batching.
     # ------------------------------------------------------------------
-    def _default_query(self, query: Mapping[str, Any]) -> dict:
-        """Apply server-level execution defaults a query didn't spell out."""
+    def _default_query(self, query: Any) -> Any:
+        """Apply server-level execution defaults a query didn't spell out.
+
+        A query that is not a JSON object passes through untouched, so
+        :func:`repro.api.query_key` rejects it with a ``QueryError`` (400).
+        """
+        if not isinstance(query, Mapping):
+            return query
         q = dict(query)
         if self.config.counting and "counting" not in q:
             q["counting"] = True
@@ -371,12 +366,9 @@ class CostServer:
 
     async def _batch_loop(self) -> None:
         """Group commit: each batch is the first waiting query plus what is
-        queued behind it (up to ``max_batch``), dispatched as soon as the
-        engine is free; queries that arrive during an engine call form the
-        next batch. A positive ``batch_window`` also holds the batch open
-        that long for more companions."""
-        cfg = self.config
-        loop = asyncio.get_running_loop()
+        already queued behind it (up to :data:`MAX_BATCH`), dispatched at
+        once; queries that arrive during an engine call form the next
+        batch."""
         queue = self._queue
         stopping = False
         while not stopping:
@@ -384,18 +376,8 @@ class CostServer:
             if task is _STOP:
                 break
             batch = [task]
-            deadline = loop.time() + cfg.batch_window
-            while len(batch) < cfg.max_batch:
-                if not queue.empty():
-                    nxt = queue.get_nowait()
-                else:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+            while len(batch) < MAX_BATCH and not queue.empty():
+                nxt = queue.get_nowait()
                 if nxt is _STOP:
                     stopping = True
                     break
@@ -541,7 +523,7 @@ class CostServer:
                     "pending": len(self._inflight),
                     "max_pending": self.config.max_pending,
                 },
-                {"retry-after": f"{self.config.retry_after:g}"},
+                {"retry-after": f"{RETRY_AFTER_S:g}"},
             )
         tasks = [self._admit(q, key) for q, key in keyed]
         try:

@@ -4,6 +4,9 @@
 background thread with its own event loop, exposes the bound port (so
 ``port=0`` ephemeral binding works), and drains it on exit — the same
 graceful-shutdown path production uses, exercised on every test run.
+:class:`EngineHold` keeps the engine busy on command, so queries that
+arrive meanwhile wait in flight (to dedup, coalesce or be refused)
+without a timer.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import asyncio
 import threading
 from typing import Any, Optional
 
+from .. import api
 from .http import Response, request
 from .server import CostServer, ServeConfig
 
@@ -101,3 +105,58 @@ class ServerThread:
 
     def post(self, path: str, payload: Any, *, timeout: float = 30.0) -> Response:
         return request(self.host, self.port, "POST", path, payload, timeout=timeout)
+
+
+class EngineHold:
+    """Blocks the first :func:`repro.api.sweep` call until released.
+
+    Every engine dispatch of a :class:`~repro.serve.server.CostServer`
+    is one ``api.sweep`` call, so while the first is held its queries
+    stay in flight and later ones wait in the admission queue: they
+    dedup against the held ones, form the next batch, or fill the
+    server's ``max_pending``. Usage::
+
+        with ServerThread(config) as srv, EngineHold() as hold:
+            ...  # post from other threads
+            hold.wait_entered()
+            ...  # observe /stats
+            hold.release()
+
+    Exiting releases the hold and restores ``api.sweep``. Enter it inside
+    the server's ``with``, so it exits first: a server drains only after
+    its dispatches return, so a hold still set at the drain blocks it
+    until ``timeout``.
+    """
+
+    def __init__(self, timeout: float = 30.0):
+        self.timeout = timeout
+        self._entered = threading.Event()
+        self._released = threading.Event()
+        self._sweep = None
+
+    def __enter__(self) -> "EngineHold":
+        self._sweep = sweep = api.sweep
+
+        def held_sweep(queries, **kwargs):
+            # The server's dispatches are serial, so only one call can
+            # find the hold unentered.
+            if not self._entered.is_set():
+                self._entered.set()
+                self._released.wait(self.timeout)
+            return sweep(queries, **kwargs)
+
+        api.sweep = held_sweep
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+        api.sweep = self._sweep
+
+    def wait_entered(self, timeout: float = 30.0) -> None:
+        """Return once the held call has started; raise if none does."""
+        if not self._entered.wait(timeout):
+            raise RuntimeError(f"no engine dispatch started within {timeout}s")
+
+    def release(self) -> None:
+        """Let the held call (and every later one) run."""
+        self._released.set()

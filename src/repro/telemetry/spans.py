@@ -160,9 +160,8 @@ class SpanPhaseRecorder(MachineObserver):
     ``B``/``E`` mark is stamped with the I/O count of the core's cost
     ledger since attach, and the exported totals are the ledger's
     deltas since attach, both read through a
-    :class:`~repro.observe.ledger.LedgerWindow` (so a ledger reset
-    restarts them, as it does every readout). It handles no I/O events
-    itself.
+    :class:`~repro.observe.ledger.LedgerWindow`, as every readout is. It
+    handles no I/O events itself.
     """
 
     def __init__(self, span: SpanContext):

@@ -46,26 +46,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             CostCounter(omega=0.5)
 
-    def test_reset(self):
-        c = CostCounter(omega=2)
-        c.add_read()
-        c.add_write()
-        c.reset()
-        assert c.Q == 0 and not c.phases
-
-    def test_reset_inside_open_phase(self):
-        # Regression: reset() dropped the open phase's bucket, so the
-        # next charge raised KeyError.
-        c = CostCounter(omega=2)
-        c.enter_phase("a")
-        c.add_read()
-        c.reset()
-        c.add_read()
-        c.exit_phase("a")
-        assert c.reads == 1
-        assert set(c.phases) == {"a"}
-        assert c.phase_snapshot("a").reads == 1
-
 
 class TestSnapshots:
     def test_snapshot_diff_measures_region(self):

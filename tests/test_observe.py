@@ -282,9 +282,6 @@ class TestFlashEvents:
         addr = fm.write_fresh(list(range(8)))
         fm.read_small(addr, 0)
         assert (fm.read_volume, fm.write_volume) == (2, 8)
-        fm.read_volume = 0  # tests historically zero these in-place
-        fm.read_ops = 0
-        assert fm.read_volume == 0 and fm.read_ops == 0 and fm.volume == 8
 
     def test_wear_map_on_flash(self):
         wear = WearMap()
@@ -486,47 +483,6 @@ class TestMachineCore:
             "-": {"touches": 1},
         }
         assert sanitizer.ok, sanitizer.violations
-
-    def test_a_reset_after_attach_restarts_the_readout(self):
-        from repro.machine.blockstore import BlockStore
-        from repro.machine.cost import PathStats
-        from repro.machine.internal import InternalMemory
-        from repro.telemetry import CostProfiler
-
-        core = MachineCore(BlockStore(4), InternalMemory(16))
-        (addr,) = core.disk.load_items([1, 2, 3])
-        for _ in range(4):
-            core.release(core.read_block(addr))
-        core.acquire(2)
-        core.write_block(addr, [7, 8])
-        prof = core.attach(CostProfiler())
-        core.counter.reset()
-        core.release(core.read_block(addr))
-        ledger, snap = prof.ledger(), core.counter.snapshot()
-        assert (ledger.Q, ledger.Qr, ledger.Qw) == (1, 1, 0)
-        assert (ledger.Q, ledger.Qr, ledger.Qw) == (snap.Q, snap.reads, snap.writes)
-        assert prof.paths() == {(): PathStats(1, 0, 1.0, 0.0, 0)}
-        assert prof.conservation_errors() == []
-
-    def test_a_reset_after_attach_restarts_the_span_clock(self):
-        from repro.machine.blockstore import BlockStore
-        from repro.machine.internal import InternalMemory
-        from repro.telemetry import CostProfiler
-        from repro.telemetry.spans import SpanContext, SpanPhaseRecorder
-
-        core = MachineCore(BlockStore(4), InternalMemory(16))
-        (addr,) = core.disk.load_items([1, 2, 3])
-        for _ in range(4):
-            core.release(core.read_block(addr))
-        prof = core.attach(CostProfiler())
-        recorder = core.attach(SpanPhaseRecorder(SpanContext.root()))
-        core.counter.reset()
-        core.release(core.read_block(addr))
-        ledger, seg = prof.ledger(), recorder.export()
-        assert recorder.clock == 1
-        assert (seg["io"], seg["reads"], seg["writes"]) == (1, 1, 0)
-        assert (seg["read_cost"], seg["write_cost"]) == (1.0, 0.0)
-        assert (seg["reads"], seg["writes"]) == (ledger.Qr, ledger.Qw)
 
     def test_sanitizer_flags_a_tampered_bare_core_ledger(self):
         core, _prof, _metrics, sanitizer = self._driven_bare_core()

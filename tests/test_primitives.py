@@ -39,9 +39,10 @@ class TestMapFilter:
 
     def test_map_costs_two_passes(self, m, p):
         addrs = m.load_input(make_atoms(range(16)))
-        m.counter.reset()
+        before = m.snapshot()
         map_blocks(m, addrs, lambda a: a)
-        assert m.reads == p.n(16) and m.writes == p.n(16)
+        spent = m.snapshot() - before
+        assert spent.reads == p.n(16) and spent.writes == p.n(16)
 
     def test_filter_keeps_matching(self, m):
         addrs = m.load_input(make_atoms(range(20)))

@@ -3,10 +3,17 @@
 The acceptance surface: N identical concurrent queries cost exactly one
 engine evaluation; batch coalescing preserves per-request results;
 queries that queue during an engine call dispatch together as the next
-batch (group commit); saturation answers 429 with Retry-After; shutdown
-drains cleanly (the in-process path and the real SIGTERM path, also with
-a query held in a batch window); and every served answer is bit-for-bit
-the direct ``repro.api.evaluate`` result.
+batch (group commit), at most ``MAX_BATCH`` to a dispatch; saturation
+answers 429 with Retry-After; shutdown drains cleanly (the in-process
+path and the real SIGTERM path, also with a query still in the engine);
+a body that is not a JSON object is a counted 400; and every served
+answer is bit-for-bit the direct ``repro.api.evaluate`` result.
+
+Tests that need queries to wait in flight hold the engine with
+:class:`repro.serve.testing.EngineHold`, entered inside the server's
+``with`` so it is released before the drain. The CLI SIGTERM test runs
+its server in a subprocess, so it sends a query that keeps the engine
+busy for half a second or more instead.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from repro.serve import (
     render_report,
     run_bench,
 )
+from repro.serve.server import MAX_BATCH, RETRY_AFTER_S
+from repro.serve.testing import EngineHold
 
 QUERY = {"workload": "sort", "n": 512, "M": 64, "B": 8, "omega": 4}
 
@@ -43,16 +52,33 @@ def serve_config(**overrides) -> ServeConfig:
     return ServeConfig(**defaults)
 
 
-def _wait_until_inflight(host: str, port: int, n: int) -> None:
-    """Poll ``/stats`` until ``n`` unique queries are in flight."""
+def _wait_for_stats(host: str, port: int, ready, what: str) -> None:
+    """Poll ``/stats`` until ``ready(stats)`` holds."""
     import repro.serve.http as http
 
     deadline = time.time() + 10
     while time.time() < deadline:
-        if http.request(host, port, "GET", "/stats").json()["inflight"] >= n:
+        if ready(http.request(host, port, "GET", "/stats").json()):
             return
         time.sleep(0.005)
-    pytest.fail(f"{n} queries never became in-flight")
+    pytest.fail(f"{what} never happened")
+
+
+def _wait_until_inflight(host: str, port: int, n: int) -> None:
+    """Poll ``/stats`` until ``n`` unique queries are in flight."""
+    _wait_for_stats(
+        host, port, lambda s: s["inflight"] >= n, f"{n} queries in flight"
+    )
+
+
+def _wait_until_admitted(host: str, port: int, n: int) -> None:
+    """Poll ``/stats`` until ``n`` requests are in flight or deduped onto
+    one that is."""
+    _wait_for_stats(
+        host, port,
+        lambda s: s["inflight"] + s["requests"]["dedup_hits"] >= n,
+        f"{n} requests admitted",
+    )
 
 
 @contextlib.contextmanager
@@ -203,13 +229,14 @@ class TestParity:
 # ----------------------------------------------------------------------
 class TestDedupAndBatching:
     def test_identical_concurrent_queries_run_once(self):
-        with ServerThread(serve_config(batch_window=0.1)) as srv:
-            n = 12
-            query = {**QUERY, "n": 768}
-            with concurrent.futures.ThreadPoolExecutor(n) as pool:
-                responses = list(
-                    pool.map(lambda _: srv.post("/evaluate", query), range(n))
-                )
+        n = 12
+        query = {**QUERY, "n": 768}
+        with ServerThread(serve_config()) as srv:
+            with concurrent.futures.ThreadPoolExecutor(n) as pool, EngineHold() as hold:
+                futures = [pool.submit(srv.post, "/evaluate", query) for _ in range(n)]
+                _wait_until_admitted(srv.host, srv.port, n)
+                hold.release()
+                responses = [f.result(timeout=60) for f in futures]
             assert [r.status for r in responses] == [200] * n
             bodies = [r.json() for r in responses]
             assert all(b == bodies[0] for b in bodies)
@@ -218,29 +245,39 @@ class TestDedupAndBatching:
             assert stats["requests"]["dedup_hits"] == n - 1
 
     def test_batch_coalesces_but_preserves_per_request_results(self):
-        with ServerThread(serve_config(batch_window=0.15)) as srv:
-            sizes = [256, 320, 384, 448, 512, 576]
-            queries = [{**QUERY, "n": n} for n in sizes]
-            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
-                responses = list(pool.map(lambda q: srv.post("/evaluate", q), queries))
+        sizes = [256, 320, 384, 448, 512, 576]
+        queries = [{**QUERY, "n": n} for n in sizes]
+        with ServerThread(serve_config()) as srv:
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool, \
+                    EngineHold() as hold:
+                futures = [pool.submit(srv.post, "/evaluate", q) for q in queries]
+                _wait_until_inflight(srv.host, srv.port, len(queries))
+                hold.release()
+                responses = [f.result(timeout=60) for f in futures]
             assert [r.status for r in responses] == [200] * len(queries)
             direct = [dict(api.evaluate("sort", q, counting=True)) for q in queries]
             for resp, expected in zip(responses, direct):
                 assert resp.json()["result"] == json.loads(json.dumps(expected))
             stats = srv.get("/stats").json()
-            # Six distinct queries in one window: fewer dispatches than
-            # queries proves coalescing; per-request bodies prove routing.
+            # Six distinct queries in flight behind one engine call: fewer
+            # dispatches than queries proves coalescing; per-request
+            # bodies prove routing.
             assert stats["requests"]["batches"] < len(queries)
             assert stats["engine"]["executed"] == len(queries)
 
     def test_bad_generator_name_cannot_fail_its_batch(self):
         # An unknown distribution is a 400 at admission; it never joins
-        # (and so never fails) the batch its neighbour runs in.
-        with ServerThread(serve_config(batch_window=0.2)) as srv:
-            queries = [{**QUERY, "distribution": "bogus"}, QUERY]
-            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
-                responses = list(pool.map(lambda q: srv.post("/evaluate", q), queries))
-            assert [r.status for r in responses] == [400, 200]
+        # (and so never fails) the batch its neighbour waits for.
+        with ServerThread(serve_config()) as srv:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool, EngineHold() as hold:
+                busy = pool.submit(srv.post, "/evaluate", {**QUERY, "n": 520})
+                hold.wait_entered()
+                good = pool.submit(srv.post, "/evaluate", QUERY)
+                _wait_until_inflight(srv.host, srv.port, 2)
+                bad = srv.post("/evaluate", {**QUERY, "distribution": "bogus"})
+                hold.release()
+                responses = [bad, good.result(timeout=60), busy.result(timeout=60)]
+            assert [r.status for r in responses] == [400, 200, 200]
             assert "'distribution' must be one of" in responses[0].json()["error"]
 
     def test_multi_query_request_keeps_order(self, server):
@@ -280,7 +317,7 @@ class TestDedupAndBatching:
 # ----------------------------------------------------------------------
 class TestGroupCommit:
     def test_zero_window_dispatches_a_multi_query_request_as_one_batch(self):
-        with ServerThread(serve_config(batch_window=0)) as srv:
+        with ServerThread(serve_config()) as srv:
             queries = [{**QUERY, "n": n} for n in (200, 208, 216, 224)]
             resp = srv.post("/evaluate", {"queries": queries})
             assert resp.status == 200
@@ -288,37 +325,24 @@ class TestGroupCommit:
         assert requests["batches"] == 1
         assert (requests["batch_size"]["count"], requests["batch_size"]["max"]) == (1, 4)
 
-    def test_queries_arriving_during_an_engine_call_form_the_next_batch(
-        self, monkeypatch
-    ):
-        sizes = []
-        entered, release = threading.Event(), threading.Event()
-        sweep = api.sweep
-
-        def held_sweep(queries, **kwargs):
-            sizes.append(len(queries))
-            if len(sizes) == 1:
-                entered.set()
-                release.wait(timeout=30)
-            return sweep(queries, **kwargs)
-
-        monkeypatch.setattr(api, "sweep", held_sweep)
+    def test_queries_arriving_during_an_engine_call_form_the_next_batch(self):
         queries = [{**QUERY, "n": n} for n in (232, 240, 248, 256)]
-        with ServerThread(serve_config(batch_window=0)) as srv:
-            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
-                try:
-                    futures = [pool.submit(srv.post, "/evaluate", queries[0])]
-                    assert entered.wait(timeout=30), "no batch reached the engine"
-                    futures += [
-                        pool.submit(srv.post, "/evaluate", q) for q in queries[1:]
-                    ]
-                    _wait_until_inflight(srv.host, srv.port, len(queries))
-                finally:
-                    release.set()
+        with ServerThread(serve_config()) as srv:
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool, \
+                    EngineHold() as hold:
+                futures = [pool.submit(srv.post, "/evaluate", queries[0])]
+                hold.wait_entered()
+                futures += [
+                    pool.submit(srv.post, "/evaluate", q) for q in queries[1:]
+                ]
+                _wait_until_inflight(srv.host, srv.port, len(queries))
+                hold.release()
                 responses = [f.result(timeout=60) for f in futures]
-            batches = srv.get("/stats").json()["requests"]["batches"]
-        assert sizes == [1, 3]
-        assert batches == 2
+            requests = srv.get("/stats").json()["requests"]
+        # The held dispatch took the first query alone; the other three
+        # queued behind it and went together.
+        sizes = requests["batch_size"]
+        assert (requests["batches"], sizes["max"], sizes["sum"]) == (2, 3, 4)
         assert [r.status for r in responses] == [200] * len(queries)
         for resp, query in zip(responses, queries):
             direct = api.evaluate("sort", query, counting=True)
@@ -346,38 +370,45 @@ class TestGroupCommit:
         assert threads[0].name.startswith("repro-serve-engine")
         assert not threads[0].is_alive(), "the engine thread outlived the drain"
 
+    def test_a_request_over_the_batch_cap_dispatches_as_two_batches(self):
+        queries = [{**QUERY, "n": 16 + i} for i in range(MAX_BATCH + 1)]
+        with ServerThread(serve_config()) as srv:
+            resp = srv.post("/evaluate", {"queries": queries})
+            assert resp.status == 200
+            requests = srv.get("/stats").json()["requests"]
+        sizes = requests["batch_size"]
+        assert (requests["batches"], sizes["max"], sizes["sum"]) == (
+            2, MAX_BATCH, MAX_BATCH + 1
+        )
+        direct = [dict(api.evaluate("sort", q, counting=True)) for q in queries]
+        assert resp.json()["results"] == json.loads(json.dumps(direct))
+
 
 # ----------------------------------------------------------------------
 # Backpressure + timeouts.
 # ----------------------------------------------------------------------
 class TestBackpressure:
     def test_saturation_answers_429_with_retry_after(self):
-        config = serve_config(
-            batch_window=2.0, max_pending=1, retry_after=7.0
-        )
-        with ServerThread(config) as srv:
-            first_status = []
-
-            def first():
-                first_status.append(srv.post("/evaluate", QUERY, timeout=60).status)
-
-            t = threading.Thread(target=first)
-            t.start()
-            _wait_until_inflight(srv.host, srv.port, 1)
-            resp = srv.post("/evaluate", {**QUERY, "n": 999})
-            assert resp.status == 429
-            assert resp.headers["retry-after"] == "7"
-            assert resp.json()["max_pending"] == 1
-            stats = srv.get("/stats").json()
-            assert stats["requests"]["rejected"] == 1
-            # The identical in-flight query still dedups instead of 429ing.
-            assert srv.post("/evaluate", QUERY, timeout=60).status == 200
-            t.join(timeout=60)
-            assert first_status == [200]
+        with ServerThread(serve_config(max_pending=1)) as srv:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool, EngineHold() as hold:
+                first = pool.submit(srv.post, "/evaluate", QUERY, timeout=60)
+                _wait_until_inflight(srv.host, srv.port, 1)
+                resp = srv.post("/evaluate", {**QUERY, "n": 999})
+                assert resp.status == 429
+                assert resp.headers["retry-after"] == f"{RETRY_AFTER_S:g}"
+                assert resp.json()["max_pending"] == 1
+                stats = srv.get("/stats").json()
+                assert stats["requests"]["rejected"] == 1
+                # The identical in-flight query still dedups instead of 429ing.
+                again = pool.submit(srv.post, "/evaluate", QUERY, timeout=60)
+                _wait_until_admitted(srv.host, srv.port, 2)
+                hold.release()
+                responses = [first.result(timeout=60), again.result(timeout=60)]
+            assert [r.status for r in responses] == [200, 200]
 
     def test_slow_evaluation_times_out_with_504(self):
-        config = serve_config(batch_window=5.0, request_timeout=0.1)
-        with ServerThread(config) as srv:
+        config = serve_config(request_timeout=0.1)
+        with ServerThread(config) as srv, EngineHold():
             t0 = time.perf_counter()
             resp = srv.post("/evaluate", QUERY, timeout=30)
             assert resp.status == 504
@@ -389,18 +420,22 @@ class TestBackpressure:
 # ----------------------------------------------------------------------
 class TestDrain:
     def test_stop_finishes_admitted_queries(self):
-        srv = ServerThread(serve_config(batch_window=0.3)).start()
-        results = []
-
-        def post():
-            results.append(srv.post("/evaluate", QUERY, timeout=30))
-
-        t = threading.Thread(target=post)
-        t.start()
-        _wait_until_inflight(srv.host, srv.port, 1)
-        srv.stop()  # drain starts while the query sits in its batch window
-        t.join(timeout=60)
-        assert [r.status for r in results] == [200]
+        srv = ServerThread(serve_config()).start()
+        with concurrent.futures.ThreadPoolExecutor(2) as pool, EngineHold() as hold:
+            pending = pool.submit(srv.post, "/evaluate", QUERY, timeout=30)
+            _wait_until_inflight(srv.host, srv.port, 1)
+            # The drain starts while the query is held in the engine, and
+            # must wait for it.
+            stopping = pool.submit(srv.stop)
+            deadline = time.time() + 10
+            while not srv.server._draining and time.time() < deadline:
+                time.sleep(0.005)
+            assert srv.server._draining, "the drain never started"
+            assert not stopping.done()
+            hold.release()
+            stopping.result(timeout=60)
+            resp = pending.result(timeout=60)
+        assert resp.status == 200
         with pytest.raises(OSError):
             socket.create_connection((srv.host, srv.port), timeout=0.5)
 
@@ -421,19 +456,22 @@ class TestDrain:
     def test_sigterm_while_a_query_is_held_answers_it(self):
         import repro.serve.http as http
 
-        with _cli_server("--batch-window", "0.5") as (proc, port):
+        # The server runs in another process, so nothing can hold its
+        # engine: this query keeps it busy for half a second or more.
+        slow = {**QUERY, "n": 60_000}
+        with _cli_server() as (proc, port):
             with concurrent.futures.ThreadPoolExecutor(1) as pool:
                 pending = pool.submit(
-                    http.request, "127.0.0.1", port, "POST", "/evaluate", QUERY,
+                    http.request, "127.0.0.1", port, "POST", "/evaluate", slow,
                     timeout=30,
                 )
                 _wait_until_inflight("127.0.0.1", port, 1)
-                proc.send_signal(signal.SIGTERM)  # the query sits in its window
+                proc.send_signal(signal.SIGTERM)  # the query is in the engine
                 resp = pending.result(timeout=60)
             assert proc.wait(timeout=30) == 0
             out = proc.stderr.read()
         assert resp.status == 200
-        direct = api.evaluate("sort", QUERY, counting=True)
+        direct = api.evaluate("sort", slow, counting=True)
         assert resp.json()["result"] == json.loads(json.dumps(dict(direct)))
         assert "drained" in out
 
@@ -443,7 +481,7 @@ class TestDrain:
 # ----------------------------------------------------------------------
 class TestServeBench:
     def test_bench_reports_percentiles_and_dedup(self):
-        with ServerThread(serve_config(batch_window=0.02)) as srv:
+        with ServerThread(serve_config()) as srv:
             report = run_bench(
                 BenchConfig(
                     host=srv.host,
@@ -545,6 +583,27 @@ class TestHttpPlumbing:
             (s["labels"]["endpoint"], s["labels"]["status"]): s["value"] for s in series
         }
         assert counts[("-", "400")] == 2
+
+    def test_a_query_that_is_not_a_json_object_gets_400(self):
+        bodies = [
+            b"[1, 2]", b"42", b'"abc"', b"null",
+            b'{"queries": [1, 2]}', b'{"queries": ["ab"]}',
+        ]
+        with ServerThread(serve_config()) as srv:
+            for body in bodies:
+                data = _raw_exchange(
+                    srv,
+                    b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body),
+                )
+                assert data.split(b"\r\n", 1)[0].split(b" ")[1] == b"400", body
+                assert b"query must be a JSON object" in data, body
+            assert srv.get("/healthz").status == 200
+            series = srv.get("/metrics").json()["serve_requests_total"]["series"]
+        counts = {
+            (s["labels"]["endpoint"], s["labels"]["status"]): s["value"] for s in series
+        }
+        assert counts[("/evaluate", "400")] == len(bodies)
 
     def test_explicit_content_length_zero_yields_empty_body(self):
         # Regression: `rest[:0] or rest` used to hand back the *entire*

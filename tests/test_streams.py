@@ -194,9 +194,10 @@ class TestScanCopy:
 
     def test_costs_n_reads_n_writes(self, m):
         addrs = m.load_input(make_atoms(range(12)))
-        m.counter.reset()
+        before = m.snapshot()
         scan_copy(m, addrs)
-        assert m.reads == 3 and m.writes == 3
+        spent = m.snapshot() - before
+        assert spent.reads == 3 and spent.writes == 3
 
     def test_leaves_memory_empty(self, m):
         addrs = m.load_input(make_atoms(range(12)))
